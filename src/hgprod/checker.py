@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -455,6 +454,7 @@ def fuzz_law(
     kind = ProductKind(kind)
     tasks = [(kind, law, cfg, t) for t in range(trials)]
     if jobs > 1 and trials > 1:
+        from concurrent.futures import ProcessPoolExecutor  # multiprocessing: not on serial runs
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(_run_trial, tasks, chunksize=max(1, trials // (4 * jobs))))
     else:

@@ -50,8 +50,8 @@ class InputError(Exception):
 def _load(path: str):
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise InputError(f"{path}: {exc.strerror or exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from exc
     try:
         hg = parse_hg(text)
     except HgParseError as exc:
@@ -212,13 +212,18 @@ def _cmd_fuzz(args) -> int:
         raise InputError("edge-size-min exceeds max-vertices")
     if args.edge_size_max < size_min:
         raise InputError("empty edge size range")
-    cfg = GeneratorConfig(
-        seed=args.seed,
-        vertex_count=(vertex_min, args.max_vertices),
-        edge_count=(1, args.max_edges),
-        edge_size=(size_min, args.edge_size_max),
-        require_simple=args.simple,
-    )
+    if args.trials < 0:
+        raise InputError("trials must be non-negative")
+    try:
+        cfg = GeneratorConfig(
+            seed=args.seed,
+            vertex_count=(vertex_min, args.max_vertices),
+            edge_count=(1, args.max_edges),
+            edge_size=(size_min, args.edge_size_max),
+            require_simple=args.simple,
+        )
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
     try:
         report = fuzz_law(ProductKind(args.kind), law, cfg, args.trials, jobs=args.jobs)
     except InfeasibleError as exc:

@@ -179,11 +179,7 @@ def edge_size_multiset(hg: Hypergraph) -> Counter:
 
 def degree_sequence(hg: Hypergraph) -> list[int]:
     """Sorted list of per-vertex edge-membership counts (an isomorphism invariant)."""
-    degrees = {v: 0 for v in hg.vertices}
-    for e in hg.edges:
-        for v in e:
-            degrees[v] += 1
-    return sorted(degrees.values())
+    return sorted(len(sizes) for sizes in vertex_signatures(hg).values())
 
 
 def vertex_signatures(hg: Hypergraph) -> dict:

@@ -1,11 +1,13 @@
 """Isomorphism testing and structural relabeling.
 
-are_isomorphic decides isomorphism for small hypergraphs by invariant
-screening followed by backtracking vertex assignment.  The screens (vertex
-and edge counts, edge-size multiset, degree sequence, per-vertex incident
-edge-size multisets) never reject an isomorphic pair; the search is exact
-and returns a verified witness mapping.  Instances beyond a configurable
-vertex bound are refused instead of searched.
+are_isomorphic screens vertex and edge counts and the sorted per-vertex
+incident edge-size multisets, then runs individualise-and-refine (McKay &
+Piperno, "Practical graph isomorphism II", 2014): colour refinement on the
+vertex-edge incidence structure of both hypergraphs at once, individualising
+the first vertex of the first non-singleton cell of the first against each
+vertex of its colour in the second.  A colour-histogram mismatch refutes a
+branch; a discrete leaf is verified edge by edge, so every witness is a
+checked bijection.  Instances beyond a vertex bound are refused unsearched.
 
 Also here: the regrouping map (x,(y,z)) <-> ((x,y),z) between the two
 groupings of a triple product, and the coordinate swap (x,y) -> (y,x) used
@@ -14,29 +16,23 @@ by commutativity audits.  Both act structurally on labels.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
-from .core import (
-    Atom,
-    Hypergraph,
-    Label,
-    Pair,
-    edge_size_multiset,
-    degree_sequence,
-    format_label,
-    is_bijection,
-    label_key,
-    vertex_signatures,
-)
+from .core import Hypergraph, Label, Pair, format_label, label_key, vertex_signatures
 
 
 class IsoBoundError(ValueError):
-    """Instance too large for the backtracking search bound."""
+    """Instance too large for the search bound."""
 
 
 @dataclass(frozen=True)
 class IsoResult:
+    """The verdict, a witness mapping exactly when isomorphic, and the number
+    of individualisations the search tried (0 when a screen or the first
+    colour refinement decided)."""
+
     isomorphic: bool
     witness: dict | None
     nodes_explored: int
@@ -87,78 +83,77 @@ def swap_map(v: Label) -> Label:
 def are_isomorphic(h1: Hypergraph, h2: Hypergraph, max_vertices: int = 12) -> IsoResult:
     """Decide whether two hypergraphs are isomorphic.
 
-    Screens first; only when every invariant agrees does the backtracking
-    assignment run.  Raises IsoBoundError when a search would be needed on
-    more than max_vertices vertices.
+    Count and signature screens first; only when they agree does the
+    refinement search run.  Raises IsoBoundError when a search would be
+    needed on more than max_vertices vertices.
     """
     if len(h1.vertices) != len(h2.vertices) or len(h1.edges) != len(h2.edges):
         return IsoResult(False, None, 0)
-    if edge_size_multiset(h1) != edge_size_multiset(h2):
+    if sorted(vertex_signatures(h1).values()) != sorted(vertex_signatures(h2).values()):
         return IsoResult(False, None, 0)
-    if degree_sequence(h1) != degree_sequence(h2):
-        return IsoResult(False, None, 0)
-    sig1 = vertex_signatures(h1)
-    sig2 = vertex_signatures(h2)
-    if sorted(sig1.values()) != sorted(sig2.values()):
-        return IsoResult(False, None, 0)
+    n = len(h1.vertices)
+    if n > max_vertices:
+        raise IsoBoundError(f"{n} vertices exceeds the search bound of {max_vertices}")
 
-    if len(h1.vertices) > max_vertices:
-        raise IsoBoundError(
-            f"{len(h1.vertices)} vertices exceeds the search bound of {max_vertices}"
-        )
-
-    classes: dict = {}
-    for w in h2.vertices:
-        classes.setdefault(sig2[w], []).append(w)
-    for members in classes.values():
-        members.sort(key=label_key)
-
-    # Rarest invariant class first, ties broken lexicographically.
-    order = sorted(h1.vertices, key=lambda v: (len(classes[sig1[v]]), label_key(v)))
-
-    incident1: dict = {v: [] for v in h1.vertices}
-    for e in h1.edges:
+    # One disjoint union: h1's vertices are 0..n-1 and h2's are n..2n-1,
+    # each side in label order, so both sides share every colour table.
+    labels = sorted(h1.vertices, key=label_key) + sorted(h2.vertices, key=label_key)
+    index1 = {v: i for i, v in enumerate(labels[:n])}
+    index2 = {v: n + i for i, v in enumerate(labels[n:])}
+    edges1 = [tuple(index1[v] for v in e) for e in h1.edges]
+    edges = edges1 + [tuple(index2[v] for v in e) for e in h2.edges]
+    targets = {frozenset(e) for e in edges[len(edges1):]}
+    incident: list = [[] for _ in labels]
+    for i, e in enumerate(edges):
         for v in e:
-            incident1[v].append(e)
-    incident2: dict = {w: [] for w in h2.vertices}
-    for f in h2.edges:
-        for w in f:
-            incident2[w].append(f)
-
-    assignment: dict = {}
-    inverse: dict = {}
+            incident[v].append(i)
     nodes = 0
 
-    def compatible(v: Label, w: Label) -> bool:
-        # Any edge now fully assigned must map to an edge, and any target
-        # edge fully covered by the image must pull back to an edge.
-        for e in incident1[v]:
-            if all(u in assignment for u in e):
-                if frozenset(assignment[u] for u in e) not in h2.edges:
-                    return False
-        for f in incident2[w]:
-            if all(u in inverse for u in f):
-                if frozenset(inverse[u] for u in f) not in h1.edges:
-                    return False
-        return True
+    def refine(colour: list) -> list | None:
+        # A vertex's next colour is its colour and the multiset of the colour
+        # multisets of its edges; stop when no cell splits, or with None as
+        # soon as the two sides' colour histograms differ.
+        count = len(set(colour))
+        while True:
+            edge_colour = [tuple(sorted(colour[v] for v in e)) for e in edges]
+            sig = [(c, tuple(sorted(edge_colour[i] for i in inc))) for c, inc in zip(colour, incident)]
+            table = {s: k for k, s in enumerate(sorted(set(sig)))}
+            colour = [table[s] for s in sig]
+            if sorted(colour[:n]) != sorted(colour[n:]):
+                return None
+            if len(table) == count:
+                return colour
+            count = len(table)
 
-    def extend(idx: int) -> bool:
+    def children(colour: list, v: int) -> Iterator[list]:
+        # Individualise v against each h2 vertex of its colour, one node per try.
         nonlocal nodes
-        if idx == len(order):
-            return True
-        v = order[idx]
-        for w in classes[sig1[v]]:
-            if w in inverse:
-                continue
-            nodes += 1
-            assignment[v] = w
-            inverse[w] = v
-            if compatible(v, w) and extend(idx + 1):
-                return True
-            del assignment[v]
-            del inverse[w]
-        return False
+        for w in range(n, 2 * n):
+            if colour[w] == colour[v]:
+                nodes += 1
+                trial = list(colour)
+                trial[v] = trial[w] = -1  # a colour no other vertex has
+                refined = refine(trial)
+                if refined is not None:
+                    yield refined
 
-    if extend(0):
-        return IsoResult(True, dict(assignment), nodes)
+    root = refine([0] * (2 * n))
+    if root is None:
+        return IsoResult(False, None, 0)
+    # Depth-first with an explicit stack: a branch can be as deep as there
+    # are vertices, beyond the interpreter's recursion limit.
+    stack = [iter([root])]
+    while stack:
+        colour = next(stack[-1], None)
+        if colour is None:
+            stack.pop()
+            continue
+        repeated = [c for c, k in Counter(colour[:n]).items() if k > 1]
+        if repeated:  # individualise the first vertex of the first non-singleton cell
+            stack.append(children(colour, colour.index(min(repeated))))
+            continue
+        image = {colour[w]: w for w in range(n, 2 * n)}
+        phi = [image[colour[v]] for v in range(n)]
+        if all(frozenset(phi[v] for v in e) in targets for e in edges1):
+            return IsoResult(True, {labels[v]: labels[phi[v]] for v in range(n)}, nodes)
     return IsoResult(False, None, nodes)

@@ -291,6 +291,22 @@ def test_fuzz_bad_ranges_are_usage_errors(run):
     assert code == 2 and "empty edge size range" in err
 
 
+@pytest.mark.parametrize(
+    "override, message",
+    [
+        (["--seed", "-1"], "seed"),
+        (["--seed", str(2**64)], "seed"),
+        (["--max-edges", "0"], "edge_count"),
+        (["--trials", "-3"], "trials"),
+    ],
+)
+def test_fuzz_bad_arguments_exit_2_with_one_error_line(run, override, message):
+    code, out, err = run(*FUZZ_ARGS, *override)  # a repeated option takes the last value
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
 # ---------------------------------------------------------------- fmt + errors
 
 def test_fmt_canonicalizes(run, files):
@@ -319,6 +335,17 @@ def test_missing_file_exits_2(run, tmp_path):
     code, _, err = run("fmt", str(tmp_path / "absent.hg"))
     assert code == 2
     assert "absent.hg" in err
+
+
+@pytest.mark.parametrize("command", ["iso", "fmt"])
+def test_non_utf8_file_exits_2_with_one_error_line(run, tmp_path, gh, command):
+    bad = tmp_path / "latin1.hg"
+    bad.write_bytes("vertices: \xe9\n".encode("latin-1"))
+    argv = [command, str(bad), gh[0]] if command == "iso" else [command, str(bad)]
+    code, out, err = run(*argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "latin1.hg" in err and "utf-8" in err
 
 
 def test_unknown_kind_is_an_argparse_error(gh):

@@ -1,3 +1,7 @@
+import inspect
+import random
+import sys
+
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
@@ -133,6 +137,46 @@ def test_bound_refusal_only_when_search_is_needed():
     assert not are_isomorphic(big, other).isomorphic
     # and a raised bound can be lifted explicitly
     assert are_isomorphic(big, big, max_vertices=13).isomorphic
+
+
+def _cycles(*lengths):
+    """Disjoint cycles on the vertices c0, c1, ..., one per length."""
+    vertices, edges = [], []
+    for n in lengths:
+        ring = [f"c{len(vertices) + i}" for i in range(n)]
+        vertices += ring
+        edges += [f"{ring[i]} {ring[(i + 1) % n]}" for i in range(n)]
+    return from_tokens(" ".join(vertices), edges)
+
+
+@pytest.mark.parametrize("n", range(12, 25, 2))
+def test_cycle_search_scales_polynomially(n):
+    """C_N vs 2*C_{N/2} passes every screen; backtracking needed 260,256
+    nodes to refute it at N = 24."""
+    cycle = _cycles(n)
+    res = are_isomorphic(cycle, _cycles(n // 2, n // 2), max_vertices=n)
+    assert not res.isomorphic
+    assert res.nodes_explored <= n * n
+    targets = random.Random(n).sample(range(n), n)
+    image = apply_mapping(cycle, {Atom(f"c{i}"): Atom(f"p{j}") for i, j in enumerate(targets)})
+    res = are_isomorphic(cycle, image, max_vertices=n)
+    assert res.isomorphic
+    assert is_homomorphism(cycle, image, res.witness)
+    assert is_homomorphism(image, cycle, {w: v for v, w in res.witness.items()})
+
+
+def test_search_depth_is_not_bounded_by_the_recursion_limit():
+    """Edgeless vertices split one per individualisation, so the search
+    path is as deep as the vertex count."""
+    n = 200
+    h = hypergraph(Atom(f"v{i}") for i in range(n))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + n // 2)
+    try:
+        res = are_isomorphic(h, h, max_vertices=n)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert res.isomorphic and res.nodes_explored == n - 1
 
 
 def test_result_invariant_enforced():
