@@ -13,6 +13,7 @@ diverging counts.
 from __future__ import annotations
 
 import math
+import os
 import random
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -453,7 +454,9 @@ def fuzz_law(
     """
     kind = ProductKind(kind)
     tasks = [(kind, law, cfg, t) for t in range(trials)]
-    if jobs > 1 and trials > 1:
+    # A process pool starts all its workers at the first submit: bound them first.
+    jobs = min(jobs, os.cpu_count() or 1, trials)
+    if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # multiprocessing: not on serial runs
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(_run_trial, tasks, chunksize=max(1, trials // (4 * jobs))))

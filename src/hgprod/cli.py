@@ -10,6 +10,7 @@ and seed give byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -62,12 +63,14 @@ def _load(path: str):
     return hg
 
 
-def _emit_hg(hg, out: str | None) -> None:
-    text = serialize_hg(hg)
+def _write(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(out).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"{out}: {exc.strerror or exc}") from exc
 
 
 def _flatten(hg):
@@ -89,15 +92,10 @@ def _cmd_product(args) -> int:
     h1 = _load(args.factors[0])
     h2 = _load(args.factors[1])
     result = product(ProductKind(args.kind), h1, h2)
+    legend = []
     if args.flatten:
         result, legend = _flatten(result)
-        text = "\n".join(legend) + ("\n" if legend else "") + serialize_hg(result)
-        if args.output is None:
-            sys.stdout.write(text)
-        else:
-            Path(args.output).write_text(text, encoding="utf-8")
-    else:
-        _emit_hg(result, args.output)
+    _write("".join(f"{line}\n" for line in legend) + serialize_hg(result), args.output)
     return EXIT_OK
 
 
@@ -241,7 +239,10 @@ def _cmd_fmt(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls
+    (parsing does not change it)."""
     parser = argparse.ArgumentParser(
         prog="hgprod",
         description="Hypergraph products, exact counts, isomorphism and law audits.",

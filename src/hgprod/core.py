@@ -129,6 +129,8 @@ def validate(hg: Hypergraph) -> str | None:
     first violated invariant and the offending edge.  Deduplication needs no
     check: vertices and edges are stored as frozensets.
     """
+    if all(e and e <= hg.vertices for e in hg.edges):
+        return None
     for e in sorted(hg.edges, key=edge_key):
         if len(e) == 0:
             return "empty edge"

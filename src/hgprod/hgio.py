@@ -10,20 +10,16 @@ Format:
 Serialization is canonical: vertices in label order, edges sorted by
 (size, member list), members sorted.  Parsing a serialization yields an
 equal hypergraph, and serialize . parse is the identity on canonical text.
+
+Label work is done once per distinct vertex, not once per edge membership.
+A label has exactly one token, so parsing looks each edge token up in the
+labels of the ``vertices:`` line; serializing sorts the labels once and
+orders members and edges by vertex rank, which is the label order.
 """
 
 from __future__ import annotations
 
-from .core import (
-    Atom,
-    Edge,
-    Hypergraph,
-    Label,
-    Pair,
-    edge_key,
-    format_label,
-    label_key,
-)
+from .core import Atom, Hypergraph, Label, Pair, format_label, label_key
 
 
 class HgParseError(ValueError):
@@ -69,7 +65,7 @@ def parse_hg(text: str) -> Hypergraph:
     Raises HgParseError with a line number on malformed lines, and names the
     offending token when an edge uses an undeclared vertex.
     """
-    vertices: set | None = None
+    vertices: dict | None = None
     edges: set = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -80,16 +76,15 @@ def parse_hg(text: str) -> Hypergraph:
         if keyword == "vertices":
             if vertices is not None:
                 raise HgParseError("duplicate vertices line", lineno)
-            vertices = set()
-            for token in rest.split():
-                vertices.add(_parse_token(token, lineno))
+            vertices = {token: _parse_token(token, lineno) for token in rest.split()}
         elif keyword == "edge":
             if vertices is None:
                 raise HgParseError("edge before vertices line", lineno)
             members = set()
             for token in rest.split():
-                label = _parse_token(token, lineno)
-                if label not in vertices:
+                label = vertices.get(token)
+                if label is None:
+                    _parse_token(token, lineno)  # a malformed token is a bad label
                     raise HgParseError(f"unknown vertex {token!r} in edge", lineno)
                 members.add(label)
             if not members:
@@ -99,7 +94,7 @@ def parse_hg(text: str) -> Hypergraph:
             raise HgParseError(f"expected 'vertices:' or 'edge:', got {line!r}", lineno)
     if vertices is None:
         raise HgParseError("missing vertices line")
-    return Hypergraph(frozenset(vertices), frozenset(edges))
+    return Hypergraph(frozenset(vertices.values()), frozenset(edges))
 
 
 def _parse_token(token: str, lineno: int) -> Label:
@@ -111,10 +106,13 @@ def _parse_token(token: str, lineno: int) -> Label:
 
 def serialize_hg(hg: Hypergraph) -> str:
     """Canonical .hg serialization (sorted vertices, edges and members)."""
-    lines = []
-    vertex_part = " ".join(format_label(v) for v in sorted(hg.vertices, key=label_key))
-    lines.append(f"vertices: {vertex_part}".rstrip())
-    for e in sorted(hg.edges, key=edge_key):
-        members = " ".join(format_label(m) for m in sorted(e, key=label_key))
-        lines.append(f"edge: {members}")
+    # Edge members outside the vertex set are ranked too, so an unvalidated
+    # hypergraph still serializes, in edge_key order.
+    order = sorted(hg.vertices.union(*hg.edges), key=label_key)
+    rank = {v: i for i, v in enumerate(order)}
+    names = [format_label(v) for v in order]
+    vertex_part = " ".join(name for v, name in zip(order, names) if v in hg.vertices)
+    lines = [f"vertices: {vertex_part}".rstrip()]
+    for _, ranks in sorted((len(e), sorted(rank[v] for v in e)) for e in hg.edges):
+        lines.append("edge: " + " ".join(names[i] for i in ranks))
     return "\n".join(lines) + "\n"

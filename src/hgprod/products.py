@@ -17,7 +17,9 @@ Every product has vertex set V1 x V2 (as Pair labels).  The edge sets:
 Enumeration goes through injections/surjections rather than a subset scan;
 the projection constraints make that exact.  Emitted edges always live in
 e1 x e2 regardless of which factor edge is larger, and edge sets are
-deduplicated across generating pairs (set semantics).
+deduplicated across generating pairs (set semantics).  The direct kinds
+build one Pair per cell of e1 x e2 and index into that grid, so a label
+pair is constructed once per edge pair, not once per edge membership.
 """
 
 from __future__ import annotations
@@ -56,49 +58,41 @@ def cartesian(h1: Hypergraph, h2: Hypergraph) -> Hypergraph:
     return Hypergraph(product_vertices(h1, h2), frozenset(edges))
 
 
+def _grid(e1: Edge, e2: Edge) -> list[list[Pair]]:
+    """Pair(x, y) for every cell of e1 x e2, built once, in label order.
+    Rows run over the larger edge and columns over the smaller one."""
+    xs, ys = sorted(e1, key=label_key), sorted(e2, key=label_key)
+    if len(xs) >= len(ys):
+        return [[Pair(x, y) for y in ys] for x in xs]
+    return [[Pair(x, y) for x in xs] for y in ys]
+
+
 def _injection_edges(e1: Edge, e2: Edge) -> Iterator[Edge]:
     """Graphs of injections from the smaller of (e1, e2) into the larger,
     as subsets of e1 x e2.  Equal sizes give the bijection graphs once."""
-    if len(e1) <= len(e2):
-        small = sorted(e1, key=label_key)
-        big = sorted(e2, key=label_key)
-        for image in itertools.permutations(big, len(small)):
-            yield frozenset(Pair(s, t) for s, t in zip(small, image))
-    else:
-        small = sorted(e2, key=label_key)
-        big = sorted(e1, key=label_key)
-        for image in itertools.permutations(big, len(small)):
-            yield frozenset(Pair(t, s) for s, t in zip(small, image))
+    grid = _grid(e1, e2)
+    cols = range(min(len(e1), len(e2)))
+    for rows in itertools.permutations(grid, len(cols)):
+        yield frozenset(map(list.__getitem__, rows, cols))
 
 
 def _surjection_edges(e1: Edge, e2: Edge) -> Iterator[Edge]:
     """Graphs of surjections from the larger of (e1, e2) onto the smaller,
     as subsets of e1 x e2."""
-    if len(e1) >= len(e2):
-        big = sorted(e1, key=label_key)
-        small = sorted(e2, key=label_key)
-        nsmall = len(small)
-        for values in itertools.product(small, repeat=len(big)):
-            if len(set(values)) == nsmall:
-                yield frozenset(Pair(b, v) for b, v in zip(big, values))
-    else:
-        big = sorted(e2, key=label_key)
-        small = sorted(e1, key=label_key)
-        nsmall = len(small)
-        for values in itertools.product(small, repeat=len(big)):
-            if len(set(values)) == nsmall:
-                yield frozenset(Pair(v, b) for b, v in zip(big, values))
+    grid = _grid(e1, e2)
+    nsmall = min(len(e1), len(e2))
+    for cols in itertools.product(range(nsmall), repeat=len(grid)):
+        if len(set(cols)) == nsmall:
+            yield frozenset(map(list.__getitem__, grid, cols))
 
 
 def _choice_edges(e1: Edge, e2: Edge) -> Iterator[Edge]:
     """dirnon edges of a single pair: one edge per choice of x in e1, y in e2."""
-    for x in e1:
-        rest1 = e1 - {x}
-        for y in e2:
-            rest2 = e2 - {y}
-            yield frozenset({Pair(x, y)}) | frozenset(
-                Pair(u, v) for u in rest1 for v in rest2
-            )
+    grid = _grid(e1, e2)
+    for r, row in enumerate(grid):
+        others = grid[:r] + grid[r + 1 :]
+        for c, cell in enumerate(row):
+            yield frozenset({cell}.union(*(o[:c] + o[c + 1 :] for o in others)))
 
 
 _PAIR_GENERATORS = {

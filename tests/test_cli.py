@@ -1,4 +1,6 @@
+import concurrent.futures
 import json
+import os
 
 import pytest
 
@@ -65,6 +67,16 @@ def test_product_flatten_emits_legend_and_parses(run, gh):
     assert names == {f"v{i}" for i in range(6)}
     expected = cartesian(from_tokens("a b", ["a b"]), from_tokens("x y z", ["x y z"]))
     assert len(flattened.edges) == len(expected.edges)
+
+
+@pytest.mark.parametrize("flatten", [[], ["--flatten"]])
+def test_product_unwritable_output_exits_2_with_one_error_line(run, gh, tmp_path, flatten):
+    g, h = gh
+    target = tmp_path / "missing" / "out.hg"
+    code, out, err = run("product", "--kind", "cartesian", g, h, "-o", str(target), *flatten)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(target) in err
 
 
 # ---------------------------------------------------------------- count
@@ -276,6 +288,32 @@ def test_fuzz_deterministic_across_job_counts(run):
     serial = run(*FUZZ_ARGS)
     parallel = run(*FUZZ_ARGS, "--jobs", "3")
     assert serial == parallel
+
+
+def test_fuzz_jobs_are_bounded_by_cores_and_trials(run, monkeypatch):
+    started = []
+
+    class RecordingPool:  # records the worker count and maps serially
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    serial = run(*FUZZ_ARGS)
+    assert started == []
+    assert run(*FUZZ_ARGS, "--jobs", "10000") == serial
+    code, _, err = run(*FUZZ_ARGS, "--jobs", "10000", "--trials", "2")
+    assert code in (0, 1) and err == ""
+    assert started == [4, 2]
 
 
 def test_fuzz_bad_ranges_are_usage_errors(run):

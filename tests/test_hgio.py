@@ -5,6 +5,7 @@ import strategies as stg
 from hgprod import (
     Atom,
     HgParseError,
+    Hypergraph,
     Pair,
     from_tokens,
     parse_hg,
@@ -49,6 +50,7 @@ def test_parse_errors_carry_line_numbers():
         ("vertices: a\nedge:\n", "no members", 2),
         ("vertices: a\nwhat: a\n", "expected", 2),
         ("vertices: a (b\n", "bad label", 1),
+        ("vertices: a b\nedge: a (b\n", "bad label", 2),
     ]
     for text, fragment, lineno in cases:
         with pytest.raises(HgParseError) as err:
@@ -68,6 +70,26 @@ def test_missing_vertices_line():
 def test_serialize_is_canonical():
     hg = from_tokens("c a b", ["b c", "a b", "c"])
     assert serialize_hg(hg) == "vertices: a b c\nedge: c\nedge: a b\nedge: b c\n"
+
+
+def test_serialize_unvalidated_hypergraph():
+    a, c = Atom("a"), Atom("c")
+    hg = Hypergraph(frozenset({a}), frozenset({frozenset({a, Atom("b")}), frozenset({Pair(a, c)})}))
+    assert serialize_hg(hg) == "vertices: a\nedge: (a,c)\nedge: a b\n"
+
+
+def test_serialize_orders_mixed_labels():
+    text = (
+        "vertices: ((a,b),x) (a,(b,y)) a2 (a,x) a10\n"
+        "edge: (a,x) a10 a2\nedge: a2 (a,x)\nedge: ((a,b),x) a10\nedge: (a,(b,y))\n"
+    )
+    assert serialize_hg(parse_hg(text)) == (
+        "vertices: a10 a2 (a,x) (a,(b,y)) ((a,b),x)\n"
+        "edge: (a,(b,y))\n"
+        "edge: a10 ((a,b),x)\n"
+        "edge: a2 (a,x)\n"
+        "edge: a10 a2 (a,x)\n"
+    )
 
 
 def test_serialize_empty():
