@@ -122,6 +122,8 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_iso(args) -> int:
+    if args.max_vertices < 0:
+        raise InputError("max-vertices must be non-negative")
     h1 = _load(args.files[0])
     h2 = _load(args.files[1])
     result = are_isomorphic(h1, h2, max_vertices=args.max_vertices)
@@ -200,6 +202,8 @@ def _cmd_counterexample(args) -> int:
 
 
 def _cmd_fuzz(args) -> int:
+    if args.jobs < 1:
+        raise InputError("jobs must be at least 1")
     law = {"assoc": "associativity", "commut": "commutativity"}[args.law]
     vertex_min = 1
     size_min = args.edge_size_min

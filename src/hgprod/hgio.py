@@ -98,6 +98,8 @@ def parse_hg(text: str) -> Hypergraph:
 
 
 def _parse_token(token: str, lineno: int) -> Label:
+    if "(" not in token and ")" not in token and "," not in token:
+        return Atom(token)  # split() tokens are non-empty and free of whitespace
     try:
         return parse_label(token)
     except ValueError as exc:

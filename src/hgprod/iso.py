@@ -5,9 +5,14 @@ incident edge-size multisets, then runs individualise-and-refine (McKay &
 Piperno, "Practical graph isomorphism II", 2014): colour refinement on the
 vertex-edge incidence structure of both hypergraphs at once, individualising
 the first vertex of the first non-singleton cell of the first against each
-vertex of its colour in the second.  A colour-histogram mismatch refutes a
-branch; a discrete leaf is verified edge by edge, so every witness is a
-checked bijection.  Instances beyond a vertex bound are refused unsearched.
+vertex of its colour in the second.  A colour is the start index of its
+cell in the ordered partition.  A refinement round recomputes signatures
+only for vertices sharing an edge with a non-largest piece of a cell that
+split the round before, and a child starts from its parent's equitable
+colouring at the edges of the individualised pair.  A cell holding unequal
+numbers of vertices of the two hypergraphs refutes a branch; a discrete
+leaf is verified edge by edge, so every witness is a checked bijection.
+Instances beyond a vertex bound are refused unsearched.
 
 Also here: the regrouping map (x,(y,z)) <-> ((x,y),z) between the two
 groupings of a triple product, and the coordinate swap (x,y) -> (y,x) used
@@ -16,7 +21,6 @@ by commutativity audits.  Both act structurally on labels.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -107,50 +111,82 @@ def are_isomorphic(h1: Hypergraph, h2: Hypergraph, max_vertices: int = 12) -> Is
     for i, e in enumerate(edges):
         for v in e:
             incident[v].append(i)
+    around = [set().union(*map(edges.__getitem__, inc)) for inc in incident]  # edge-mates
     nodes = 0
 
-    def refine(colour: list) -> list | None:
-        # A vertex's next colour is its colour and the multiset of the colour
-        # multisets of its edges; stop when no cell splits, or with None as
-        # soon as the two sides' colour histograms differ.
-        count = len(set(colour))
-        while True:
-            edge_colour = [tuple(sorted(colour[v] for v in e)) for e in edges]
-            sig = [(c, tuple(sorted(edge_colour[i] for i in inc))) for c, inc in zip(colour, incident)]
-            table = {s: k for k, s in enumerate(sorted(set(sig)))}
-            colour = [table[s] for s in sig]
-            if sorted(colour[:n]) != sorted(colour[n:]):
-                return None
-            if len(table) == count:
-                return colour
-            count = len(table)
+    def refine(colour: list, cells: dict, touched: set) -> bool:
+        # Synchronous rounds: a vertex's next colour is its colour and the
+        # multiset of the colour multisets of its edges.  A colour is the start
+        # index of its cell in the ordered partition (cells maps it to the
+        # members), so a cell that does not split keeps its colour and new
+        # cells are ordered by (old colour, signature).  Only touched vertices,
+        # which share an edge with a non-largest piece split last round, can
+        # see something their cell-mates do not; the untouched rest of a cell
+        # all have one signature, computed from one of them.  Refines colour
+        # and cells in place; False as soon as a new cell holds unequal numbers
+        # of h1 and h2 vertices.
+        while touched:
+            by_cell: dict = {}
+            for v in touched:
+                by_cell.setdefault(colour[v], []).append(v)
+            rests = {c: [u for u in cells[c] if u not in touched] for c in by_cell}
+            need = [v for c, vs in by_cell.items() for v in vs + rests[c][:1]]
+            ids = set().union(*map(incident.__getitem__, need))
+            edge_colour = {i: tuple(sorted(map(colour.__getitem__, edges[i]))) for i in ids}
+            sig = {v: tuple(sorted(map(edge_colour.__getitem__, incident[v]))) for v in need}
+            touched = set()  # every signature is taken: colours may change now
+            for c, vs in by_cell.items():
+                pieces: dict = {}
+                for v in vs:
+                    pieces.setdefault(sig[v], []).append(v)
+                if rests[c]:
+                    pieces.setdefault(sig[rests[c][0]], []).extend(rests[c])
+                if len(pieces) == 1:
+                    continue
+                parts = [pieces[s] for s in sorted(pieces)]
+                largest = max(parts, key=len)
+                for part in parts:
+                    if 2 * sum(map(n.__gt__, part)) != len(part):
+                        return False
+                    cells[c] = part
+                    for v in part:
+                        colour[v] = c
+                    if part is not largest:
+                        touched.update(*map(around.__getitem__, part))
+                    c += len(part)
+        return True
 
-    def children(colour: list, v: int) -> Iterator[list]:
-        # Individualise v against each h2 vertex of its colour, one node per try.
+    def children(colour: list, cells: dict, v: int) -> Iterator[tuple]:
+        # Individualise v against each h2 vertex of its colour, one node per
+        # try: the pair becomes a cell two below the lowest colour, so ahead
+        # of every other, and refinement starts from the parent's equitable
+        # colouring at the pair's edges.
         nonlocal nodes
+        c, low = colour[v], min(cells) - 2
         for w in range(n, 2 * n):
-            if colour[w] == colour[v]:
+            if colour[w] == c:
                 nodes += 1
-                trial = list(colour)
-                trial[v] = trial[w] = -1  # a colour no other vertex has
-                refined = refine(trial)
-                if refined is not None:
-                    yield refined
+                trial, split = list(colour), dict(cells)
+                trial[v] = trial[w] = low
+                split[low], split[c] = [v, w], [u for u in cells[c] if u != v and u != w]
+                if refine(trial, split, around[v] | around[w]):
+                    yield trial, split
 
-    root = refine([0] * (2 * n))
-    if root is None:
+    root = ([0] * (2 * n), {0: list(range(2 * n))})
+    if not refine(*root, set(range(2 * n))):
         return IsoResult(False, None, 0)
     # Depth-first with an explicit stack: a branch can be as deep as there
     # are vertices, beyond the interpreter's recursion limit.
     stack = [iter([root])]
     while stack:
-        colour = next(stack[-1], None)
-        if colour is None:
+        node = next(stack[-1], None)
+        if node is None:
             stack.pop()
             continue
-        repeated = [c for c, k in Counter(colour[:n]).items() if k > 1]
+        colour, cells = node
+        repeated = [c for c, members in cells.items() if len(members) > 2]
         if repeated:  # individualise the first vertex of the first non-singleton cell
-            stack.append(children(colour, colour.index(min(repeated))))
+            stack.append(children(colour, cells, colour.index(min(repeated))))
             continue
         image = {colour[w]: w for w in range(n, 2 * n)}
         phi = [image[colour[v]] for v in range(n)]

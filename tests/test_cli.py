@@ -159,6 +159,45 @@ def test_iso_bound_refusal_is_a_usage_error(run, files):
     assert code == 0
 
 
+ISO_FILES = {
+    "h.hg": "vertices: a b c d e f x y\nedge: a b c\nedge: c d e\nedge: e f a\n",
+    "img.hg": "vertices: t s y r q p w u\nedge: t s y\nedge: y r q\nedge: q p t\n",
+    "c4.hg": "vertices: a b c d e f g h x y\nedge: a b c\nedge: c d e\nedge: e f g\nedge: g h a\n",
+    "cc.hg": "vertices: a b c d e f g h x y\nedge: a b c\nedge: c d a\nedge: e f g\nedge: g h e\n",
+}
+
+
+@pytest.mark.parametrize(
+    "pair, flags, code, stdout",
+    [
+        (("h.hg", "img.hg"), [], 0,
+         "isomorphic: true\nnodes_explored: 3\nmap: a -> t\nmap: b -> p\nmap: c -> q\n"
+         "map: d -> r\nmap: e -> y\nmap: f -> s\nmap: x -> u\nmap: y -> w\n"),
+        (("h.hg", "img.hg"), ["--json"], 0,
+         '{\n  "isomorphic": true,\n  "nodes_explored": 3,\n  "witness": {\n'
+         '    "a": "t",\n    "b": "p",\n    "c": "q",\n    "d": "r",\n'
+         '    "e": "y",\n    "f": "s",\n    "x": "u",\n    "y": "w"\n  }\n}\n'),
+        (("c4.hg", "cc.hg"), [], 1, "isomorphic: false\nnodes_explored: 10\n"),
+        (("c4.hg", "cc.hg"), ["--json"], 1,
+         '{\n  "isomorphic": false,\n  "nodes_explored": 10,\n  "witness": null\n}\n'),
+    ],
+)
+def test_iso_stdout_bytes_are_pinned(run, files, pair, flags, code, stdout):
+    paths = [files(name, ISO_FILES[name]) for name in pair]
+    assert run("iso", *paths, *flags) == (code, stdout, "")
+
+
+def test_iso_negative_bound_exits_2_on_a_screened_pair(run, files):
+    """The bound is checked before the files are read, so a pair the screens
+    would decide without a search is refused too."""
+    a = files("a.hg", "vertices: 1 2 3 4\nedge: 1 2\nedge: 3 4\n")
+    b = files("b.hg", "vertices: 1 2 3 4\nedge: 1 2\nedge: 2 3\n")
+    code, out, err = run("iso", a, b, "--max-vertices", "-1")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "max-vertices" in err
+
+
 # ---------------------------------------------------------------- law audits
 
 def test_assoc_passes_for_cartesian(run, gh):
@@ -336,6 +375,8 @@ def test_fuzz_bad_ranges_are_usage_errors(run):
         (["--seed", str(2**64)], "seed"),
         (["--max-edges", "0"], "edge_count"),
         (["--trials", "-3"], "trials"),
+        (["--jobs", "0"], "jobs"),
+        (["--jobs", "-5"], "jobs"),
     ],
 )
 def test_fuzz_bad_arguments_exit_2_with_one_error_line(run, override, message):

@@ -51,6 +51,8 @@ def test_parse_errors_carry_line_numbers():
         ("vertices: a\nwhat: a\n", "expected", 2),
         ("vertices: a (b\n", "bad label", 1),
         ("vertices: a b\nedge: a (b\n", "bad label", 2),
+        ("vertices: a a)\n", "bad label", 1),
+        ("vertices: a,b\n", "bad label", 1),
     ]
     for text, fragment, lineno in cases:
         with pytest.raises(HgParseError) as err:

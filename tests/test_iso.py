@@ -16,6 +16,7 @@ from hgprod import (
     apply_mapping,
     are_isomorphic,
     atoms,
+    format_label,
     from_tokens,
     hypergraph,
     is_bijection,
@@ -163,6 +164,68 @@ def test_cycle_search_scales_polynomially(n):
     assert res.isomorphic
     assert is_homomorphism(cycle, image, res.witness)
     assert is_homomorphism(image, cycle, {w: v for v, w in res.witness.items()})
+
+
+@pytest.mark.parametrize("n", range(12, 25, 2))
+def test_cycle_refutation_takes_exactly_n_nodes(n):
+    """The first cycle vertex is tried against each of the N vertices of
+    2*C_{N/2}, and every try is refuted: N nodes, 24 at N = 24."""
+    res = are_isomorphic(_cycles(n), _cycles(n // 2, n // 2), max_vertices=n)
+    assert (res.isomorphic, res.nodes_explored) == (False, n)
+
+
+def _names(witness):
+    return {format_label(k): format_label(v) for k, v in witness.items()}
+
+
+@pytest.mark.parametrize(
+    "n, witness",
+    [
+        (8, "c0:p0 c1:p5 c2:p3 c3:p2 c4:p7 c5:p1 c6:p4 c7:p6"),
+        (12, "c0:p0 c1:p11 c2:p6 c3:p1 c4:p10 c5:p9 c6:p7 c7:p4 c8:p8 c9:p5 c10:p2 c11:p3"),
+    ],
+)
+def test_relabelled_cycle_search_is_pinned(n, witness):
+    """Two nodes, and the first leaf reached gives exactly this witness."""
+    targets = random.Random(n).sample(range(n), n)
+    cycle = _cycles(n)
+    image = apply_mapping(cycle, {Atom(f"c{i}"): Atom(f"p{j}") for i, j in enumerate(targets)})
+    res = are_isomorphic(cycle, image, max_vertices=n)
+    assert res.nodes_explored == 2
+    assert _names(res.witness) == dict(pair.split(":") for pair in witness.split())
+
+
+LOOSE_C4 = from_tokens("a b c d e f g h x y", ["a b c", "c d e", "e f g", "g h a"])
+TWO_LOOSE_C2 = from_tokens("a b c d e f g h x y", ["a b c", "c d a", "e f g", "g h e"])
+
+
+def test_hypergraph_search_with_3_edges_and_isolated_vertices_is_pinned():
+    """A triangle of 3-edges plus two isolated vertices against a relabelled
+    copy; a loose 4-cycle of 3-edges against two loose 2-cycles, which colour
+    refinement alone cannot separate."""
+    h = from_tokens("a b c d e f x y", ["a b c", "c d e", "e f a"])
+    image = from_tokens("t s y r q p w u", ["t s y", "y r q", "q p t"])
+    res = are_isomorphic(h, image)
+    assert res.nodes_explored == 3
+    assert _names(res.witness) == dict(zip("a b c d e f x y".split(), "t p q r y s u w".split()))
+    for h1, h2 in ((LOOSE_C4, TWO_LOOSE_C2), (TWO_LOOSE_C2, LOOSE_C4)):
+        assert are_isomorphic(h1, h2) == IsoResult(False, None, 10)
+
+
+def test_cubic_graph_search_is_pinned():
+    """A 3-regular graph on 10 vertices against a relabelled copy, where
+    refinement splits some cells into three or more pieces."""
+    g = from_tokens(" ".join(f"v{i}" for i in range(10)), [
+        "v0 v2", "v0 v4", "v0 v7", "v1 v3", "v1 v5", "v1 v7", "v2 v3", "v2 v5",
+        "v3 v8", "v4 v7", "v4 v9", "v5 v6", "v6 v8", "v6 v9", "v8 v9"])
+    h = from_tokens(" ".join(f"p{i}" for i in range(10)), [
+        "p0 p7", "p0 p8", "p0 p9", "p1 p2", "p1 p4", "p1 p7", "p2 p3", "p2 p6",
+        "p3 p5", "p3 p8", "p4 p5", "p4 p6", "p5 p8", "p6 p9", "p7 p9"])
+    res = are_isomorphic(g, h)
+    assert res.nodes_explored == 5
+    assert _names(res.witness) == {
+        "v0": "p3", "v1": "p4", "v2": "p2", "v3": "p1", "v4": "p8",
+        "v5": "p6", "v6": "p9", "v7": "p5", "v8": "p7", "v9": "p0"}
 
 
 def test_search_depth_is_not_bounded_by_the_recursion_limit():
