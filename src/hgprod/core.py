@@ -8,6 +8,14 @@ regrouping map can act on them structurally.
 All values are immutable and hashable.  Edge sets have set semantics: two
 edges with identical member sets are one edge, and hypergraph equality
 ignores any presentation order of the vertices.
+
+A label computes its hash once, at construction, as the value a generated
+dataclass hash would give (``hash((name,))``, ``hash((left, right))``), so
+set layouts do not change; equality stays structural.  Labels keep their
+fields and the hash in ``__slots__``, with no instance dict, so storing the
+hash does not make a label larger.  Pickling and copying rebuild a label
+from its fields, so a hash never crosses into a process with another
+string-hash seed.
 """
 
 from __future__ import annotations
@@ -25,6 +33,7 @@ _FORBIDDEN_IN_ATOM = set(",()") | set(" \t\n\r\f\v")
 class Atom:
     """A leaf vertex label: a non-empty token with no whitespace, comma or parens."""
 
+    __slots__ = ("name", "_hash")
     name: str
 
     def __post_init__(self) -> None:
@@ -33,6 +42,13 @@ class Atom:
         bad = _FORBIDDEN_IN_ATOM.intersection(self.name)
         if bad:
             raise ValueError(f"atom token {self.name!r} contains forbidden character")
+        object.__setattr__(self, "_hash", hash((self.name,)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return (type(self), (self.name,))
 
     def __repr__(self) -> str:
         return f"Atom({self.name!r})"
@@ -42,8 +58,18 @@ class Atom:
 class Pair:
     """An ordered pair of labels; the vertex type of a two-factor product."""
 
+    __slots__ = ("left", "right", "_hash")
     left: Label
     right: Label
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.left, self.right)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return (type(self), (self.left, self.right))
 
     def __repr__(self) -> str:
         return f"Pair({self.left!r}, {self.right!r})"

@@ -81,14 +81,19 @@ class CountReport:
         return self.formula_count == self.enumerated_count
 
 
-def verify_count(kind: ProductKind, h1: Hypergraph, h2: Hypergraph) -> CountReport:
-    """Evaluate the closed form and the enumerated edge count side by side.
+def closed_form_count(kind: ProductKind, h1: Hypergraph, h2: Hypergraph) -> int:
+    """The closed-form edge count alone; builds no product.
 
     Only cartesian, dirmax and strong have closed forms.
     """
     kind = ProductKind(kind)
     if kind not in _FORMULAS:
         raise ValueError(f"no closed-form edge count for kind {kind.value}")
-    formula = _FORMULAS[kind](h1, h2)
+    return _FORMULAS[kind](h1, h2)
+
+
+def verify_count(kind: ProductKind, h1: Hypergraph, h2: Hypergraph) -> CountReport:
+    """Evaluate the closed form and the enumerated edge count side by side."""
+    formula = closed_form_count(kind, h1, h2)
     enumerated = len(product(kind, h1, h2).edges)
-    return CountReport(kind, formula, enumerated)
+    return CountReport(ProductKind(kind), formula, enumerated)

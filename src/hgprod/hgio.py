@@ -115,6 +115,6 @@ def serialize_hg(hg: Hypergraph) -> str:
     names = [format_label(v) for v in order]
     vertex_part = " ".join(name for v, name in zip(order, names) if v in hg.vertices)
     lines = [f"vertices: {vertex_part}".rstrip()]
-    for _, ranks in sorted((len(e), sorted(rank[v] for v in e)) for e in hg.edges):
-        lines.append("edge: " + " ".join(names[i] for i in ranks))
+    for _, ranks in sorted((len(e), sorted(map(rank.__getitem__, e))) for e in hg.edges):
+        lines.append("edge: " + " ".join(map(names.__getitem__, ranks)))
     return "\n".join(lines) + "\n"

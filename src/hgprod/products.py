@@ -17,9 +17,12 @@ Every product has vertex set V1 x V2 (as Pair labels).  The edge sets:
 Enumeration goes through injections/surjections rather than a subset scan;
 the projection constraints make that exact.  Emitted edges always live in
 e1 x e2 regardless of which factor edge is larger, and edge sets are
-deduplicated across generating pairs (set semantics).  The direct kinds
-build one Pair per cell of e1 x e2 and index into that grid, so a label
-pair is constructed once per edge pair, not once per edge membership.
+deduplicated across generating pairs (set semantics).
+
+Each product call builds one Pair per product vertex, in a table
+``cells[x][y]``, and the vertex set and every edge (cartesian and direct
+parts alike) take their pairs from it.  So a pair is built and hashed
+once, and set lookups on equal members stop at the identity check.
 """
 
 from __future__ import annotations
@@ -47,48 +50,66 @@ def product_vertices(h1: Hypergraph, h2: Hypergraph) -> frozenset:
     return frozenset(Pair(u, v) for u in h1.vertices for v in h2.vertices)
 
 
-def cartesian(h1: Hypergraph, h2: Hypergraph) -> Hypergraph:
+def _cells(xs, ys) -> dict:
+    """The product's one Pair per cell: ``cells[x][y] is Pair(x, y)``."""
+    return {x: {y: Pair(x, y) for y in ys} for x in xs}
+
+
+def _product_cells(h1: Hypergraph, h2: Hypergraph) -> dict:
+    # Edge members outside the vertex set get cells too, so an unvalidated
+    # factor still multiplies as its edges say.
+    return _cells(h1.vertices.union(*h1.edges), h2.vertices.union(*h2.edges))
+
+
+def _vertex_set(cells: dict, h1: Hypergraph, h2: Hypergraph) -> frozenset:
+    return frozenset(cells[x][y] for x in h1.vertices for y in h2.vertices)
+
+
+def _cartesian_edges(cells: dict, h1: Hypergraph, h2: Hypergraph) -> frozenset:
     edges = set()
     for x in h1.vertices:
+        row = cells[x]
         for f in h2.edges:
-            edges.add(frozenset(Pair(x, y) for y in f))
+            edges.add(frozenset(map(row.__getitem__, f)))
     for e in h1.edges:
+        rows = [cells[x] for x in e]
         for y in h2.vertices:
-            edges.add(frozenset(Pair(x, y) for x in e))
-    return Hypergraph(product_vertices(h1, h2), frozenset(edges))
+            edges.add(frozenset(row[y] for row in rows))
+    return frozenset(edges)
 
 
-def _grid(e1: Edge, e2: Edge) -> list[list[Pair]]:
-    """Pair(x, y) for every cell of e1 x e2, built once, in label order.
-    Rows run over the larger edge and columns over the smaller one."""
+def _grid(cells: dict, e1: Edge, e2: Edge) -> list[list[Pair]]:
+    """The cells of e1 x e2 in label order.  Rows run over the larger edge
+    and columns over the smaller one."""
     xs, ys = sorted(e1, key=label_key), sorted(e2, key=label_key)
+    rows = [cells[x] for x in xs]
     if len(xs) >= len(ys):
-        return [[Pair(x, y) for y in ys] for x in xs]
-    return [[Pair(x, y) for x in xs] for y in ys]
+        return [[row[y] for y in ys] for row in rows]
+    return [[row[y] for row in rows] for y in ys]
 
 
-def _injection_edges(e1: Edge, e2: Edge) -> Iterator[Edge]:
+def _injection_edges(cells: dict, e1: Edge, e2: Edge) -> Iterator[Edge]:
     """Graphs of injections from the smaller of (e1, e2) into the larger,
     as subsets of e1 x e2.  Equal sizes give the bijection graphs once."""
-    grid = _grid(e1, e2)
+    grid = _grid(cells, e1, e2)
     cols = range(min(len(e1), len(e2)))
     for rows in itertools.permutations(grid, len(cols)):
         yield frozenset(map(list.__getitem__, rows, cols))
 
 
-def _surjection_edges(e1: Edge, e2: Edge) -> Iterator[Edge]:
+def _surjection_edges(cells: dict, e1: Edge, e2: Edge) -> Iterator[Edge]:
     """Graphs of surjections from the larger of (e1, e2) onto the smaller,
     as subsets of e1 x e2."""
-    grid = _grid(e1, e2)
+    grid = _grid(cells, e1, e2)
     nsmall = min(len(e1), len(e2))
     for cols in itertools.product(range(nsmall), repeat=len(grid)):
         if len(set(cols)) == nsmall:
             yield frozenset(map(list.__getitem__, grid, cols))
 
 
-def _choice_edges(e1: Edge, e2: Edge) -> Iterator[Edge]:
+def _choice_edges(cells: dict, e1: Edge, e2: Edge) -> Iterator[Edge]:
     """dirnon edges of a single pair: one edge per choice of x in e1, y in e2."""
-    grid = _grid(e1, e2)
+    grid = _grid(cells, e1, e2)
     for r, row in enumerate(grid):
         others = grid[:r] + grid[r + 1 :]
         for c, cell in enumerate(row):
@@ -102,6 +123,15 @@ _PAIR_GENERATORS = {
 }
 
 
+def _direct_edges(kind: ProductKind, cells: dict, h1: Hypergraph, h2: Hypergraph) -> frozenset:
+    generate = _PAIR_GENERATORS[kind]
+    edges = set()
+    for e1 in h1.edges:
+        for e2 in h2.edges:
+            edges.update(generate(cells, e1, e2))
+    return frozenset(edges)
+
+
 def edge_pair_product(e1: Edge, e2: Edge, kind: ProductKind) -> set:
     """The product edges generated by one pair of factor edges.
 
@@ -112,16 +142,22 @@ def edge_pair_product(e1: Edge, e2: Edge, kind: ProductKind) -> set:
         raise ValueError(f"kind {kind.value} has no single-pair edge set")
     if not e1 or not e2:
         raise ValueError("factor edges must be non-empty")
-    return set(_PAIR_GENERATORS[kind](e1, e2))
+    return set(_PAIR_GENERATORS[kind](_cells(e1, e2), e1, e2))
 
 
-def _direct(kind: ProductKind, h1: Hypergraph, h2: Hypergraph) -> Hypergraph:
-    generate = _PAIR_GENERATORS[kind]
-    edges = set()
-    for e1 in h1.edges:
-        for e2 in h2.edges:
-            edges.update(generate(e1, e2))
-    return Hypergraph(product_vertices(h1, h2), frozenset(edges))
+def cartesian(h1: Hypergraph, h2: Hypergraph) -> Hypergraph:
+    cells = _product_cells(h1, h2)
+    return Hypergraph(_vertex_set(cells, h1, h2), _cartesian_edges(cells, h1, h2))
+
+
+def _direct(kind: ProductKind, h1: Hypergraph, h2: Hypergraph, with_cartesian: bool = False) -> Hypergraph:
+    """A direct product, united with the cartesian edges for normal and
+    strong.  The vertex set and every edge take their pairs from one table."""
+    cells = _product_cells(h1, h2)
+    edges = _direct_edges(kind, cells, h1, h2)
+    if with_cartesian:
+        edges = _cartesian_edges(cells, h1, h2) | edges
+    return Hypergraph(_vertex_set(cells, h1, h2), edges)
 
 
 def dirmin(h1: Hypergraph, h2: Hypergraph) -> Hypergraph:
@@ -137,17 +173,11 @@ def dirnon(h1: Hypergraph, h2: Hypergraph) -> Hypergraph:
 
 
 def normal(h1: Hypergraph, h2: Hypergraph) -> Hypergraph:
-    return Hypergraph(
-        product_vertices(h1, h2),
-        cartesian(h1, h2).edges | dirmin(h1, h2).edges,
-    )
+    return _direct(ProductKind.DIRMIN, h1, h2, with_cartesian=True)
 
 
 def strong(h1: Hypergraph, h2: Hypergraph) -> Hypergraph:
-    return Hypergraph(
-        product_vertices(h1, h2),
-        cartesian(h1, h2).edges | dirmax(h1, h2).edges,
-    )
+    return _direct(ProductKind.DIRMAX, h1, h2, with_cartesian=True)
 
 
 _CONSTRUCTORS = {

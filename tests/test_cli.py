@@ -1,9 +1,13 @@
 import concurrent.futures
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hgprod.counting
 from hgprod import cartesian, from_tokens, parse_hg, serialize_hg, strong
 from hgprod.cli import main
 
@@ -87,6 +91,19 @@ def test_count_formula_only(run, gh):
     assert code == 0
     assert "formula_count: 6" in out
     assert "enumerated_count" not in out
+
+
+def test_count_without_verify_builds_no_product(run, files, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("count enumerated the product without --verify")
+
+    monkeypatch.setattr(hgprod.counting, "product", refuse)
+    g = files("g8.hg", "vertices: a b c d e f g h\nedge: a b c d e f g h\n")
+    h = files("h7.hg", "vertices: p q r s t u v\nedge: p q r s t u v\n")
+    assert run("count", "--kind", "dirmax", g, h) == (0, "kind: dirmax\nformula_count: 141120\n", "")
+    code, out, err = run("count", "--kind", "dirmax", g, h, "--json")
+    assert (code, err) == (0, "")
+    assert out == json.dumps({"kind": "dirmax", "formula_count": 141120}, indent=2) + "\n"
 
 
 def test_count_verify_agreement(run, gh):
@@ -327,6 +344,21 @@ def test_fuzz_deterministic_across_job_counts(run):
     serial = run(*FUZZ_ARGS)
     parallel = run(*FUZZ_ARGS, "--jobs", "3")
     assert serial == parallel
+
+
+def test_fuzz_stdout_is_the_same_across_processes_and_hash_seeds():
+    """A pool returns labels pickled in its workers; stdout must not depend
+    on the job count or on the string-hash seed of any process."""
+    src = str(Path(hgprod.__file__).parents[1])
+
+    def fuzz(jobs, hash_seed):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src}
+        return subprocess.run([sys.executable, "-m", "hgprod", *FUZZ_ARGS, "--jobs", jobs],
+                              env=env, capture_output=True, text=True)
+
+    serial, parallel = fuzz("1", "1"), fuzz("2", "2")
+    assert serial.returncode == parallel.returncode == 1
+    assert serial.stdout == parallel.stdout and "minimal_trial:" in serial.stdout
 
 
 def test_fuzz_jobs_are_bounded_by_cores_and_trials(run, monkeypatch):

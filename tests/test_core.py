@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 
+import hgprod
 import strategies as stg
 from hgprod import (
     Atom,
@@ -45,6 +51,39 @@ def test_format_label_nested():
     assert format_label(Pair(Atom("a"), Atom("x"))) == "(a,x)"
     inner = Pair(Atom("b"), Pair(Atom("y"), Atom("z")))
     assert format_label(inner) == "(b,(y,z))"
+
+
+def test_label_hash_is_the_hash_of_its_fields():
+    # The value a generated dataclass hash gives, so set layouts stay put.
+    a, b = Atom("a"), Pair(Atom("b"), Atom("c"))
+    assert hash(Atom("a")) == hash(("a",))
+    assert hash(Pair(a, b)) == hash((a, b))
+    assert hash(Pair(b, a)) == hash((b, a))
+
+
+NESTED = "Pair(Pair(Atom('a'), Atom('bb')), Pair(Atom('c'), Pair(Atom('a'), Atom('d'))))"
+
+
+def _python(code: str, hash_seed: str, stdin: str = "") -> str:
+    env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+           "PYTHONPATH": str(Path(hgprod.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], input=stdin, env=env,
+                          capture_output=True, text=True, check=True)
+    return done.stdout
+
+
+def test_pickled_labels_rehash_in_a_process_with_another_hash_seed():
+    head = "import pickle, sys\nfrom hgprod import Atom, Pair\n"
+    dumped = _python(head + f"sys.stdout.write(pickle.dumps(({NESTED}, Atom('bb'))).hex())", "1")
+    found = _python(
+        head
+        + "label, atom = pickle.loads(bytes.fromhex(sys.stdin.read()))\n"
+        + f"fresh = {{{NESTED}, Atom('bb'), Atom('zz')}}\n"
+        + "print(label in fresh, atom in fresh, hash(label) == hash(" + NESTED + "))",
+        "2",
+        stdin=dumped,
+    )
+    assert found.split() == ["True", "True", "True"]
 
 
 def test_edge_key_orders_by_size_then_members():

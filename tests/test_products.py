@@ -6,6 +6,7 @@ from hypothesis import given
 import strategies as stg
 from oracles import subset_scan_direct
 from hgprod import (
+    DIRECT_KINDS,
     Atom,
     Pair,
     ProductKind,
@@ -218,6 +219,37 @@ def test_product_dispatch_matches_named_constructors(single_edge_factors):
     }
     for kind, fn in named.items():
         assert product(kind, g, h) == fn(g, h)
+
+
+SHARING_FACTORS = [
+    from_tokens("a b", ["a b"]),
+    from_tokens("x y z", ["x y z", "x y", "z"]),
+    hypergraph([Pair(Atom("p"), Atom("q")), Atom("r"), Atom("s")],
+               [[Pair(Atom("p"), Atom("q")), Atom("r")], [Atom("r"), Atom("s")]]),
+]
+
+
+@pytest.mark.parametrize("kind", list(ProductKind))
+def test_product_edges_share_the_vertex_objects(kind):
+    for h1, h2 in itertools.product(SHARING_FACTORS, repeat=2):
+        prod = product(kind, h1, h2)
+        vertex = {v: v for v in prod.vertices}
+        assert all(vertex[m] is m for e in prod.edges for m in e)
+
+
+@pytest.mark.parametrize("kind", sorted(DIRECT_KINDS))
+def test_pair_product_edges_share_their_members(kind):
+    edges = edge_pair_product(frozenset(atoms("a b c")), frozenset(atoms("x y")), kind)
+    first = {}
+    assert all(first.setdefault(m, m) is m for e in edges for m in e)
+
+
+def test_unvalidated_factor_still_multiplies():
+    a, b = atoms("a b")
+    stray = hypergraph([a], [[a, b]])  # b is no vertex
+    prod = cartesian(stray, from_tokens("x", ["x"]))
+    assert prod.vertices == {Pair(a, Atom("x"))}
+    assert pe(("a", "x"), ("b", "x")) in prod.edges
 
 
 def test_pair_product_edges_all_satisfy_defining_predicate():
