@@ -18,9 +18,9 @@ from hgprod import (
     counterexample_audit,
     counterexample_factors,
     dirmax,
+    edge_key,
     format_edge,
     format_law_report,
-    iter_sorted_edges,
     product,
     serialize_hg,
     summarize,
@@ -63,10 +63,10 @@ def main() -> int:
         right = dirmax(dirmax(g, g), h)
         print()
         print(f"left grouping edges ({len(left.edges)}):")
-        for e in iter_sorted_edges(left):
+        for e in sorted(left.edges, key=edge_key):
             print(f"  {format_edge(e)}")
         print(f"right grouping edges ({len(right.edges)}):")
-        for e in iter_sorted_edges(right):
+        for e in sorted(right.edges, key=edge_key):
             print(f"  {format_edge(e)}")
 
     return 1  # mirrors `hgprod counterexample`: the audited law is violated

@@ -99,16 +99,17 @@ class LawReport:
             raise ValueError("map verdict true contradicts non-isomorphism")
 
 
-def _diff_witness(left_edges, right_edges, forward, backward) -> Edge | None:
-    """Smallest edge (by canonical order) on either side whose image is
-    missing from the other; None when the mapped sets agree."""
-    missing = [e for e in left_edges if frozenset(forward(v) for v in e) not in right_edges]
+def _mismatch(left, right, forward, backward) -> Edge | None:
+    """None when the label map forward carries the left edge set exactly
+    onto the right one; otherwise the smallest edge, by canonical order,
+    whose image is missing from the other side (backward maps the right
+    side back), taken from the left side when it has one."""
+    if frozenset(frozenset(forward(v) for v in e) for e in left) == right:
+        return None
+    missing = [e for e in left if frozenset(forward(v) for v in e) not in right]
     if missing:
         return min(missing, key=edge_key)
-    extra = [f for f in right_edges if frozenset(backward(v) for v in f) not in left_edges]
-    if extra:
-        return min(extra, key=edge_key)
-    return None
+    return min((f for f in right if frozenset(backward(v) for v in f) not in left), key=edge_key)
 
 
 def check_associativity(
@@ -128,18 +129,12 @@ def check_associativity(
     kind = ProductKind(kind)
     left = product(kind, a, product(kind, b, c))
     right = product(kind, product(kind, a, b), c)
-    mapped = frozenset(
-        frozenset(regroup_right_to_left(v) for v in e) for e in left.edges
+    witness = _mismatch(
+        left.edges, right.edges, regroup_right_to_left, regroup_left_to_right
     )
-    psi_ok = mapped == right.edges
-    witness = None
-    if not psi_ok:
-        witness = _diff_witness(
-            left.edges, right.edges, regroup_right_to_left, regroup_left_to_right
-        )
     exists: bool | None = None
     if full_iso:
-        if psi_ok:
+        if witness is None:
             exists = True  # the regrouping map is itself a witness
         elif len(left.vertices) <= iso_bound:
             exists = are_isomorphic(left, right, max_vertices=iso_bound).isomorphic
@@ -148,7 +143,7 @@ def check_associativity(
         law="associativity",
         left_count=len(left.edges),
         right_count=len(right.edges),
-        psi_is_isomorphism=psi_ok,
+        psi_is_isomorphism=witness is None,
         exists_isomorphism=exists,
         witness_edge=witness,
         factor_summaries=(summarize(a), summarize(b), summarize(c)),
@@ -160,17 +155,13 @@ def check_commutativity(kind: ProductKind, a: Hypergraph, b: Hypergraph) -> LawR
     kind = ProductKind(kind)
     left = product(kind, a, b)
     right = product(kind, b, a)
-    mapped = frozenset(frozenset(swap_map(v) for v in e) for e in left.edges)
-    swap_ok = mapped == right.edges
-    witness = None
-    if not swap_ok:
-        witness = _diff_witness(left.edges, right.edges, swap_map, swap_map)
+    witness = _mismatch(left.edges, right.edges, swap_map, swap_map)
     return LawReport(
         kind=kind,
         law="commutativity",
         left_count=len(left.edges),
         right_count=len(right.edges),
-        psi_is_isomorphism=swap_ok,
+        psi_is_isomorphism=witness is None,
         exists_isomorphism=None,
         witness_edge=witness,
         factor_summaries=(summarize(a), summarize(b)),
@@ -198,17 +189,14 @@ def check_lemma1(
             raise PreconditionError(f"rank of second factor is {rank(h)}, need at most 3")
     left = dirmax(g, h)
     right = dirnon(g, h)
-    equal = left.edges == right.edges
-    witness = None
-    if not equal:
-        identity = lambda v: v
-        witness = _diff_witness(left.edges, right.edges, identity, identity)
+    identity = lambda v: v
+    witness = _mismatch(left.edges, right.edges, identity, identity)
     return LawReport(
         kind=ProductKind.DIRMAX,
         law="lemma1",
         left_count=len(left.edges),
         right_count=len(right.edges),
-        psi_is_isomorphism=equal,
+        psi_is_isomorphism=witness is None,
         exists_isomorphism=None,
         witness_edge=witness,
         factor_summaries=(summarize(g), summarize(h)),

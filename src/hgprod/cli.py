@@ -81,11 +81,13 @@ def _flatten(hg):
     return apply_mapping(hg, mapping), legend
 
 
-def _print_report(report: LawReport, as_json: bool) -> None:
+def _print_report(report: LawReport, as_json: bool) -> int:
+    """Print one law report; the exit code says whether the law held."""
     if as_json:
         print(json.dumps(law_report_dict(report), indent=2))
     else:
         print(format_law_report(report))
+    return EXIT_OK if report.psi_is_isomorphism else EXIT_VIOLATED
 
 
 def _cmd_product(args) -> int:
@@ -163,15 +165,13 @@ def _cmd_assoc(args) -> int:
             "note: full isomorphism search skipped (vertex bound exceeded)",
             file=sys.stderr,
         )
-    _print_report(report, args.json)
-    return EXIT_OK if report.psi_is_isomorphism else EXIT_VIOLATED
+    return _print_report(report, args.json)
 
 
 def _cmd_commut(args) -> int:
     a, b = (_load(p) for p in args.factors)
     report = check_commutativity(ProductKind(args.kind), a, b)
-    _print_report(report, args.json)
-    return EXIT_OK if report.psi_is_isomorphism else EXIT_VIOLATED
+    return _print_report(report, args.json)
 
 
 def _cmd_lemma1(args) -> int:
@@ -181,8 +181,7 @@ def _cmd_lemma1(args) -> int:
         report = check_lemma1(g, h)
     except PreconditionError as exc:
         raise InputError(f"precondition violated: {exc}") from exc
-    _print_report(report, args.json)
-    return EXIT_OK if report.psi_is_isomorphism else EXIT_VIOLATED
+    return _print_report(report, args.json)
 
 
 def _cmd_counterexample(args) -> int:
@@ -207,11 +206,8 @@ def _cmd_fuzz(args) -> int:
     if args.jobs < 1:
         raise InputError("jobs must be at least 1")
     law = {"assoc": "associativity", "commut": "commutativity"}[args.law]
-    vertex_min = 1
-    size_min = args.edge_size_min
-    if args.simple:
-        vertex_min = 2
-        size_min = max(size_min, 2)
+    size_min = max(args.edge_size_min, 2) if args.simple else args.edge_size_min
+    vertex_min = max(size_min, 1)  # every factor must fit its smallest edge
     if size_min > args.max_vertices:
         raise InputError("edge-size-min exceeds max-vertices")
     if args.edge_size_max < size_min:

@@ -1,4 +1,4 @@
-"""Finite hypergraphs: vertex labels, edges, validation, rank, homomorphisms.
+"""Finite hypergraphs: vertex labels, edges, validation, rank, simplicity.
 
 A hypergraph is a finite vertex set together with a set of non-empty vertex
 subsets (the edges).  Vertex labels are either atoms or ordered pairs of
@@ -21,9 +21,8 @@ string-hash seed.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Union
 
 # Characters that would make atom tokens ambiguous in the text format.
 _FORBIDDEN_IN_ATOM = set(",()") | set(" \t\n\r\f\v")
@@ -77,9 +76,8 @@ class Pair:
 
 Label = Union[Atom, Pair]
 
-# An edge is a frozenset of labels; a mapping is a plain dict between labels.
+# An edge is a frozenset of labels.
 Edge = frozenset
-VertexMapping = Mapping
 
 
 def label_key(v: Label):
@@ -180,48 +178,14 @@ def is_simple(hg: Hypergraph) -> bool:
     return True
 
 
-def is_homomorphism(src: Hypergraph, dst: Hypergraph, phi: VertexMapping) -> bool:
-    """True iff phi maps every edge of src onto an edge of dst.
-
-    phi must be total on the source vertices with image inside the target
-    vertices; anything else is a precondition violation, not a verdict.
-    """
-    if not src.vertices <= phi.keys():
-        missing = min(src.vertices - phi.keys(), key=label_key)
-        raise ValueError(f"mapping not total on source vertices: {format_label(missing)} unmapped")
-    image = {phi[v] for v in src.vertices}
-    if not image <= dst.vertices:
-        stray = min(image - dst.vertices, key=label_key)
-        raise ValueError(f"mapping image outside target vertices: {format_label(stray)}")
-    return all(frozenset(phi[v] for v in e) in dst.edges for e in src.edges)
-
-
-def is_bijection(phi: VertexMapping) -> bool:
-    return len(set(phi.values())) == len(phi)
-
-
-def edge_size_multiset(hg: Hypergraph) -> Counter:
-    """Multiset of edge cardinalities (an isomorphism invariant)."""
-    return Counter(len(e) for e in hg.edges)
-
-
-def degree_sequence(hg: Hypergraph) -> list[int]:
-    """Sorted list of per-vertex edge-membership counts (an isomorphism invariant)."""
-    return sorted(len(sizes) for sizes in vertex_signatures(hg).values())
-
-
 def vertex_signatures(hg: Hypergraph) -> dict:
     """Per-vertex invariant: the sorted tuple of incident edge sizes.
 
-    Finer than the degree (it refines degree by edge sizes); used both as an
-    isomorphism screen and to order the backtracking search.
+    Finer than the degree (it refines degree by edge sizes); used as an
+    isomorphism screen.
     """
     sig: dict = {v: [] for v in hg.vertices}
     for e in hg.edges:
         for v in e:
             sig[v].append(len(e))
     return {v: tuple(sorted(sizes)) for v, sizes in sig.items()}
-
-
-def iter_sorted_edges(hg: Hypergraph) -> Iterator[Edge]:
-    return iter(sorted(hg.edges, key=edge_key))

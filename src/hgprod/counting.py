@@ -18,28 +18,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .core import Hypergraph
 from .products import ProductKind, product
 
 
-@lru_cache(maxsize=None)
 def stirling2(n: int, k: int) -> int:
     """Number of partitions of an n-set into k non-empty blocks.
 
-    Computed by the recurrence S(n,k) = k*S(n-1,k) + S(n-1,k-1) in exact
-    integer arithmetic; S(0,0)=1, S(n,0)=0 for n>0, S(n,k)=0 for k>n.
+    Computed without recursion, as the surjection count divided by k!:
+    S(n,k) = sum_j (-1)^j C(k,j) (k-j)^n / k!, in exact integer arithmetic;
+    S(0,0)=1, S(n,0)=0 for n>0, S(n,k)=0 for k>n.
     """
     if n < 0 or k < 0:
         raise ValueError("stirling2 arguments must be non-negative")
-    if k > n:
-        return 0
-    if n == k:
-        return 1
-    if k == 0:
-        return 0
-    return k * stirling2(n - 1, k) + stirling2(n - 1, k - 1)
+    surjections = sum((-1) ** j * math.comb(k, j) * (k - j) ** n for j in range(k + 1))
+    return surjections // math.factorial(k)
 
 
 def dirmax_edge_count(h1: Hypergraph, h2: Hypergraph) -> int:

@@ -32,8 +32,18 @@ class HgParseError(ValueError):
         super().__init__(message)
 
 
+# Parsing, label_key, format_label and Pair equality each recurse once per
+# nesting level, equality with about three interpreter frames a level.  A
+# label of at most this many pairs stays well inside the default recursion
+# limit of 1000, also after a few product levels nest it deeper.
+_MAX_LABEL_PAIRS = 200
+
+
 def parse_label(text: str) -> Label:
-    """Parse a single label token (atom or nested pair)."""
+    """Parse a single label token (atom or nested pair) of at most
+    _MAX_LABEL_PAIRS pairs."""
+    if text.count("(") > _MAX_LABEL_PAIRS:
+        raise ValueError(f"label has more than {_MAX_LABEL_PAIRS} pairs")
     value, pos = _parse_label_at(text, 0)
     if pos != len(text):
         raise ValueError(f"trailing input after label: {text[pos:]!r}")

@@ -1,4 +1,4 @@
-"""Isomorphism testing and structural relabeling.
+"""Isomorphism testing and relabeling along a vertex bijection.
 
 are_isomorphic screens vertex and edge counts and the sorted per-vertex
 incident edge-size multisets, then runs individualise-and-refine (McKay &
@@ -22,7 +22,7 @@ by commutativity audits.  Both act structurally on labels.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .core import Hypergraph, Label, Pair, format_label, label_key, vertex_signatures
 
@@ -56,11 +56,6 @@ def apply_mapping(hg: Hypergraph, phi: dict) -> Hypergraph:
         frozenset(phi[v] for v in hg.vertices),
         frozenset(frozenset(phi[v] for v in e) for e in hg.edges),
     )
-
-
-def relabel(hg: Hypergraph, fn: Callable[[Label], Label]) -> Hypergraph:
-    """Relabel through a label function (must be injective on the vertex set)."""
-    return apply_mapping(hg, {v: fn(v) for v in hg.vertices})
 
 
 def regroup_right_to_left(v: Label) -> Label:

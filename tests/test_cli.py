@@ -10,6 +10,7 @@ import pytest
 import hgprod.counting
 from hgprod import cartesian, from_tokens, parse_hg, serialize_hg, strong
 from hgprod.cli import main
+from hgprod.hgio import _MAX_LABEL_PAIRS
 
 G_TEXT = "vertices: a b\nedge: a b\n"
 H_TEXT = "vertices: x y z\nedge: x y z\n"
@@ -133,6 +134,18 @@ def test_count_json(run, gh):
         "enumerated_count": 6,
         "agreement": True,
     }
+
+
+@pytest.mark.parametrize("kind", ["dirmax", "strong"])
+def test_count_closed_form_of_a_1200_member_edge(run, files, kind):
+    """2! * S(1200, 2) = 2^1200 - 2 pairs, plus 1,202 cartesian edges for
+    strong; S was computed recursively, which ran out of stack near 1,000
+    members."""
+    formula = {"dirmax": 2**1200 - 2, "strong": 2**1200 + 1200}[kind]
+    names = " ".join(f"v{i}" for i in range(1200))
+    big = files("big.hg", f"vertices: {names}\nedge: {names}\n")
+    code, out, err = run("count", "--kind", kind, big, files("g.hg", G_TEXT))
+    assert (code, out, err) == (0, f"kind: {kind}\nformula_count: {formula}\n", "")
 
 
 # ---------------------------------------------------------------- iso
@@ -401,6 +414,21 @@ def test_fuzz_bad_ranges_are_usage_errors(run):
 
 
 @pytest.mark.parametrize(
+    "extra",
+    [["2"], ["3"], ["3", "--simple"], ["4", "--edge-size-max", "4"]],
+    ids=["2", "3", "3-simple", "4"],
+)
+def test_fuzz_edge_size_min_raises_the_smallest_vertex_count(run, extra):
+    """Factors need at least as many vertices as their smallest edge."""
+    code, out, err = run(
+        "fuzz", "--kind", "dirmax", "--law", "assoc", "--seed", "1",
+        "--trials", "10", "--edge-size-min", *extra,
+    )
+    assert code in (0, 1) and err == ""
+    assert "trials: 10\n" in out
+
+
+@pytest.mark.parametrize(
     "override, message",
     [
         (["--seed", "-1"], "seed"),
@@ -440,6 +468,26 @@ def test_parse_errors_exit_2_with_line_number(run, files):
     code, out, err = run("fmt", bad)
     assert code == 2 and out == ""
     assert "line 2" in err and "unknown vertex" in err
+
+
+def _nested(depth: int) -> str:
+    return "(" * depth + "a" + ",b)" * depth  # ((a,b),b) for depth 2
+
+
+@pytest.mark.parametrize("command", ["fmt", "iso", "product"])
+def test_deeply_nested_label_exits_2_with_line_number(run, files, command):
+    deep = files("deep.hg", f"# nested\nvertices: c {_nested(1500)}\n")
+    argv = {"fmt": ["fmt", deep], "iso": ["iso", deep, deep],
+            "product": ["product", "--kind", "strong", deep, deep]}[command]
+    code, out, err = run(*argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "line 2: bad label" in err
+
+
+def test_label_at_the_nesting_bound_round_trips_through_fmt(run, files):
+    text = f"vertices: c {_nested(_MAX_LABEL_PAIRS)}\nedge: c {_nested(_MAX_LABEL_PAIRS)}\n"
+    assert run("fmt", files("bound.hg", text)) == (0, text, "")
 
 
 def test_missing_file_exits_2(run, tmp_path):

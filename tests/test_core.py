@@ -12,15 +12,11 @@ from hgprod import (
     Atom,
     Pair,
     atoms,
-    degree_sequence,
     edge_key,
-    edge_size_multiset,
     format_edge,
     format_label,
     from_tokens,
     hypergraph,
-    is_bijection,
-    is_homomorphism,
     is_simple,
     label_key,
     rank,
@@ -145,54 +141,12 @@ def test_rank_and_simplicity():
     assert not is_simple(single)  # singleton edge
 
 
-def test_edge_size_multiset_and_degrees(single_edge_factors):
-    g, h = single_edge_factors
-    assert edge_size_multiset(h) == {3: 1}
-    assert degree_sequence(h) == [1, 1, 1]
-    assert edge_size_multiset(g) == {2: 1}
-    assert degree_sequence(g) == [1, 1]
-
-
 def test_vertex_signatures_distinguish_roles():
     h = from_tokens("a b c", ["a b", "a c"])
     sigs = vertex_signatures(h)
     assert sigs[Atom("a")] == (2, 2)
     assert sigs[Atom("b")] == (2,)
     assert sigs[Atom("c")] == (2,)
-
-
-# ---------------------------------------------------------------- morphisms
-
-def test_identity_is_homomorphism(single_edge_factors):
-    g, _ = single_edge_factors
-    ident = {v: v for v in g.vertices}
-    assert is_homomorphism(g, g, ident)
-    assert is_bijection(ident)
-
-
-def test_edge_collapse_is_not_homomorphism():
-    g = from_tokens("a b", ["a b"])
-    h = from_tokens("x", ["x"])
-    phi = {Atom("a"): Atom("x"), Atom("b"): Atom("x")}
-    # {a,b} maps onto the singleton {x}, which IS an edge of h
-    assert is_homomorphism(g, h, phi)
-    h2 = from_tokens("x y", ["x y"])
-    phi2 = {Atom("a"): Atom("x"), Atom("b"): Atom("x")}
-    assert not is_homomorphism(g, h2, phi2)  # image {x} is not an edge
-
-
-def test_homomorphism_preconditions_raise():
-    g = from_tokens("a b", ["a b"])
-    h = from_tokens("x y", ["x y"])
-    with pytest.raises(ValueError):
-        is_homomorphism(g, h, {Atom("a"): Atom("x")})  # not total
-    with pytest.raises(ValueError):
-        is_homomorphism(g, h, {Atom("a"): Atom("x"), Atom("b"): Atom("q")})
-
-
-def test_is_bijection_requires_injectivity():
-    squash = {Atom("a"): Atom("x"), Atom("b"): Atom("x")}
-    assert not is_bijection(squash)
 
 
 # ---------------------------------------------------------------- properties
@@ -204,13 +158,13 @@ def test_validate_passes_for_built_instances(h):
 
 @given(stg.hypergraphs())
 def test_relabeling_preserves_invariants(h):
-    """Degrees and edge sizes cannot depend on vertex names."""
+    """Vertex signatures (degrees refined by edge sizes), rank and simplicity
+    cannot depend on vertex names."""
     fresh = {v: Atom(f"r{i}") for i, v in enumerate(sorted(h.vertices, key=label_key))}
     image = hypergraph(
         fresh.values(),
         [frozenset(fresh[v] for v in e) for e in h.edges],
     )
-    assert degree_sequence(image) == degree_sequence(h)
-    assert edge_size_multiset(image) == edge_size_multiset(h)
+    assert sorted(vertex_signatures(image).values()) == sorted(vertex_signatures(h).values())
     assert rank(image) == rank(h)
     assert is_simple(image) == is_simple(h)

@@ -12,6 +12,7 @@ from hgprod import (
     parse_label,
     serialize_hg,
 )
+from hgprod.hgio import _MAX_LABEL_PAIRS
 
 
 def test_parse_basic():
@@ -33,13 +34,24 @@ def test_parse_pair_labels():
     assert hg.edges == frozenset({frozenset({u, v})})
 
 
+def _nested(depth: int) -> str:
+    return "(" * depth + "a" + ",b)" * depth  # ((a,b),b) for depth 2
+
+
 def test_parse_label_nested():
     assert parse_label("a") == Atom("a")
     assert parse_label("(a,b)") == Pair(Atom("a"), Atom("b"))
     assert parse_label("((a,b),c)") == Pair(Pair(Atom("a"), Atom("b")), Atom("c"))
-    for bad in ["", "(a,b", "(a)", "a,b", "(a,b))", "(,b)"]:
+    for bad in ["", "(a,b", "(a)", "a,b", "(a,b))", "(,b)", _nested(_MAX_LABEL_PAIRS + 1)]:
         with pytest.raises(ValueError):
             parse_label(bad)
+
+
+def test_labels_at_the_nesting_bound_compare_two_levels_deeper():
+    deep = parse_label(_nested(_MAX_LABEL_PAIRS))
+    again = parse_label(_nested(_MAX_LABEL_PAIRS))
+    assert deep is not again
+    assert Pair(Pair(deep, deep), deep) == Pair(Pair(again, again), again)
 
 
 def test_parse_errors_carry_line_numbers():
@@ -53,6 +65,7 @@ def test_parse_errors_carry_line_numbers():
         ("vertices: a b\nedge: a (b\n", "bad label", 2),
         ("vertices: a a)\n", "bad label", 1),
         ("vertices: a,b\n", "bad label", 1),
+        (f"# nested\nvertices: c {_nested(1500)}\n", "bad label", 2),
     ]
     for text, fragment, lineno in cases:
         with pytest.raises(HgParseError) as err:
