@@ -10,6 +10,7 @@ and seed give byte-identical output.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -32,9 +33,9 @@ from .checker import (
 )
 from .core import Atom, format_edge, format_label, label_key, validate
 from .counting import COUNTABLE_KINDS, closed_form_count, verify_count
-from .hgio import HgParseError, parse_hg, serialize_hg
+from .hgio import HgParseError, _emit, _parse, parse_hg, serialize_hg
 from .iso import IsoBoundError, apply_mapping, are_isomorphic
-from .products import ProductKind, product
+from .products import ProductKind, product, ranked_product
 
 EXIT_OK = 0
 EXIT_VIOLATED = 1
@@ -48,15 +49,21 @@ class InputError(Exception):
     """File or content problem mapped to exit code 2."""
 
 
-def _load(path: str):
+def _read(path: str, parse):
+    """`parse` applied to the text of a .hg file; file and parse errors
+    become InputError."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from exc
     try:
-        hg = parse_hg(text)
+        return parse(text)
     except HgParseError as exc:
         raise InputError(f"{path}: {exc}") from exc
+
+
+def _load(path: str):
+    hg = _read(path, parse_hg)
     problem = validate(hg)
     if problem is not None:
         raise InputError(f"{path}: {problem}")
@@ -90,14 +97,34 @@ def _print_report(report: LawReport, as_json: bool) -> int:
     return EXIT_OK if report.psi_is_isomorphism else EXIT_VIOLATED
 
 
+@contextlib.contextmanager
+def _any_int_digits():
+    """Lift the int-to-str digit limit (Python 3.11+) for the block only."""
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    if get_limit is None:
+        yield
+        return
+    limit = get_limit()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _cmd_product(args) -> int:
     h1 = _load(args.factors[0])
     h2 = _load(args.factors[1])
-    result = product(ProductKind(args.kind), h1, h2)
-    legend = []
+    kind = ProductKind(args.kind)
     if args.flatten:
-        result, legend = _flatten(result)
-    _write("".join(f"{line}\n" for line in legend) + serialize_hg(result), args.output)
+        # The renamed atoms sort as strings (v10 before v2), not by rank.
+        result, legend = _flatten(product(kind, h1, h2))
+        text = "".join(f"{line}\n" for line in legend) + serialize_hg(result)
+    else:
+        xs, ys, vertices, edges = ranked_product(kind, h1, h2)
+        names = [f"({a},{b})" for a in map(format_label, xs) for b in map(format_label, ys)]
+        text = _emit(names, vertices, edges)
+    _write(text, args.output)
     return EXIT_OK
 
 
@@ -108,18 +135,16 @@ def _cmd_count(args) -> int:
     # Only --verify enumerates the product; the closed form alone is cheap.
     report = verify_count(kind, h1, h2) if args.verify else None
     formula = report.formula_count if report else closed_form_count(kind, h1, h2)
-    if args.json:
-        payload = {"kind": kind.value, "formula_count": formula}
-        if report:
-            payload["enumerated_count"] = report.enumerated_count
-            payload["agreement"] = report.agreement
-        print(json.dumps(payload, indent=2))
-    else:
-        print(f"kind: {kind.value}")
-        print(f"formula_count: {formula}")
-        if report:
-            print(f"enumerated_count: {report.enumerated_count}")
-            print(f"agreement: {'true' if report.agreement else 'false'}")
+    payload = {"kind": kind.value, "formula_count": formula}
+    if report:
+        payload["enumerated_count"] = report.enumerated_count
+        payload["agreement"] = report.agreement
+    with _any_int_digits():  # a closed form can exceed 4,300 digits
+        if args.json:
+            text = json.dumps(payload, indent=2)
+        else:
+            text = "\n".join(f"{key}: {str(value).lower()}" for key, value in payload.items())
+    print(text)
     if report and not report.agreement:
         return EXIT_VIOLATED
     return EXIT_OK
@@ -236,8 +261,9 @@ def _cmd_fuzz(args) -> int:
 
 
 def _cmd_fmt(args) -> int:
-    hg = _load(args.file)
-    sys.stdout.write(serialize_hg(hg))
+    # Parsed edges are subsets of the declared vertices, so there is nothing
+    # to validate.
+    sys.stdout.write(_emit(*_read(args.file, functools.partial(_parse, ranked=True))))
     return EXIT_OK
 
 

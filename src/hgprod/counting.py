@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 from .core import Hypergraph
-from .products import ProductKind, product
+from .products import ProductKind, ranked_product
 
 
 def stirling2(n: int, k: int) -> int:
@@ -87,7 +87,10 @@ def closed_form_count(kind: ProductKind, h1: Hypergraph, h2: Hypergraph) -> int:
 
 
 def verify_count(kind: ProductKind, h1: Hypergraph, h2: Hypergraph) -> CountReport:
-    """Evaluate the closed form and the enumerated edge count side by side."""
+    """Evaluate the closed form and the enumerated edge count side by side.
+
+    The enumeration runs on integer ranks: it counts the same edge set as
+    `product` without building its labels."""
     formula = closed_form_count(kind, h1, h2)
-    enumerated = len(product(kind, h1, h2).edges)
+    enumerated = len(ranked_product(kind, h1, h2)[3])
     return CountReport(ProductKind(kind), formula, enumerated)

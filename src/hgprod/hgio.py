@@ -11,15 +11,23 @@ Serialization is canonical: vertices in label order, edges sorted by
 (size, member list), members sorted.  Parsing a serialization yields an
 equal hypergraph, and serialize . parse is the identity on canonical text.
 
-Label work is done once per distinct vertex, not once per edge membership.
-A label has exactly one token, so parsing looks each edge token up in the
-labels of the ``vertices:`` line; serializing sorts the labels once and
-orders members and edges by vertex rank, which is the label order.
+Both directions work on ranks: vertex r is the r-th label in label order,
+and an edge is the sorted tuple of its members' ranks, so sorting edges
+as tuples (then stably by length) is the canonical edge order.  Label work
+is done once per distinct vertex, not once per edge membership: a label
+has exactly one token, so parsing looks each edge token up in the
+``vertices:`` line, and serializing formats each label once.  `_parse` can
+stop at ranks and `_emit` writes text from ranks, so ``hgprod fmt`` builds
+labels only to order the declared vertices, and ``hgprod product`` builds
+none for the product.
 """
 
 from __future__ import annotations
 
 from .core import Atom, Hypergraph, Label, Pair, format_label, label_key
+
+# Error messages quote at most this many characters of a token or line.
+_QUOTE_CHARS = 40
 
 
 class HgParseError(ValueError):
@@ -39,6 +47,13 @@ class HgParseError(ValueError):
 _MAX_LABEL_PAIRS = 200
 
 
+def _quote(text: str) -> str:
+    """repr of text, cut to _QUOTE_CHARS characters plus its length when longer."""
+    if len(text) <= _QUOTE_CHARS:
+        return repr(text)
+    return f"{text[:_QUOTE_CHARS]!r}... ({len(text)} chars)"
+
+
 def parse_label(text: str) -> Label:
     """Parse a single label token (atom or nested pair) of at most
     _MAX_LABEL_PAIRS pairs."""
@@ -46,7 +61,7 @@ def parse_label(text: str) -> Label:
         raise ValueError(f"label has more than {_MAX_LABEL_PAIRS} pairs")
     value, pos = _parse_label_at(text, 0)
     if pos != len(text):
-        raise ValueError(f"trailing input after label: {text[pos:]!r}")
+        raise ValueError(f"trailing input after label: {_quote(text[pos:])}")
     return value
 
 
@@ -75,7 +90,19 @@ def parse_hg(text: str) -> Hypergraph:
     Raises HgParseError with a line number on malformed lines, and names the
     offending token when an edge uses an undeclared vertex.
     """
-    vertices: dict | None = None
+    return _parse(text, ranked=False)
+
+
+def _rank_edge(ranks) -> tuple:
+    return tuple(sorted(set(ranks)))  # a line may repeat a token
+
+
+def _parse(text: str, ranked: bool):
+    """Parse .hg text into a Hypergraph or, when `ranked`, into the
+    arguments of `_emit`: the vertex tokens in label order, their ranks and
+    the edges as sorted rank tuples."""
+    lookup: dict | None = None
+    form = _rank_edge if ranked else frozenset
     edges: set = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -84,27 +111,31 @@ def parse_hg(text: str) -> Hypergraph:
         keyword, _, rest = line.partition(":")
         keyword = keyword.strip()
         if keyword == "vertices":
-            if vertices is not None:
+            if lookup is not None:
                 raise HgParseError("duplicate vertices line", lineno)
-            vertices = {token: _parse_token(token, lineno) for token in rest.split()}
+            lookup = {token: _parse_token(token, lineno) for token in rest.split()}
+            if ranked:
+                names = sorted(lookup, key=lambda token: label_key(lookup[token]))
+                lookup = {token: r for r, token in enumerate(names)}
         elif keyword == "edge":
-            if vertices is None:
+            if lookup is None:
                 raise HgParseError("edge before vertices line", lineno)
-            members = set()
-            for token in rest.split():
-                label = vertices.get(token)
-                if label is None:
-                    _parse_token(token, lineno)  # a malformed token is a bad label
-                    raise HgParseError(f"unknown vertex {token!r} in edge", lineno)
-                members.add(label)
-            if not members:
+            tokens = rest.split()
+            if not tokens:
                 raise HgParseError("edge with no members", lineno)
-            edges.add(frozenset(members))
+            try:
+                edges.add(form(map(lookup.__getitem__, tokens)))
+            except KeyError as exc:  # map stops at the first undeclared token
+                token = exc.args[0]
+                _parse_token(token, lineno)  # a malformed token is a bad label
+                raise HgParseError(f"unknown vertex {_quote(token)} in edge", lineno) from None
         else:
-            raise HgParseError(f"expected 'vertices:' or 'edge:', got {line!r}", lineno)
-    if vertices is None:
+            raise HgParseError(f"expected 'vertices:' or 'edge:', got {_quote(line)}", lineno)
+    if lookup is None:
         raise HgParseError("missing vertices line")
-    return Hypergraph(frozenset(vertices.values()), frozenset(edges))
+    if ranked:
+        return names, range(len(names)), edges
+    return Hypergraph(frozenset(lookup.values()), frozenset(edges))
 
 
 def _parse_token(token: str, lineno: int) -> Label:
@@ -113,7 +144,19 @@ def _parse_token(token: str, lineno: int) -> Label:
     try:
         return parse_label(token)
     except ValueError as exc:
-        raise HgParseError(f"bad label {token!r}: {exc}", lineno) from exc
+        raise HgParseError(f"bad label {_quote(token)}: {exc}", lineno) from exc
+
+
+def _emit(names: list[str], vertices, edges) -> str:
+    """Canonical .hg text from ranks: ``names[r]`` is the token of rank r,
+    `vertices` lists the vertex ranks in ascending order and each edge is a
+    sorted tuple of ranks."""
+    order = sorted(edges)
+    order.sort(key=len)  # stable, so by size and then by members: edge_key order
+    token = names.__getitem__
+    lines = [" ".join(["vertices:", *map(token, vertices)])]
+    lines += ["edge: " + " ".join(map(token, e)) for e in order]
+    return "\n".join(lines) + "\n"
 
 
 def serialize_hg(hg: Hypergraph) -> str:
@@ -121,10 +164,7 @@ def serialize_hg(hg: Hypergraph) -> str:
     # Edge members outside the vertex set are ranked too, so an unvalidated
     # hypergraph still serializes, in edge_key order.
     order = sorted(hg.vertices.union(*hg.edges), key=label_key)
-    rank = {v: i for i, v in enumerate(order)}
-    names = [format_label(v) for v in order]
-    vertex_part = " ".join(name for v, name in zip(order, names) if v in hg.vertices)
-    lines = [f"vertices: {vertex_part}".rstrip()]
-    for _, ranks in sorted((len(e), sorted(map(rank.__getitem__, e))) for e in hg.edges):
-        lines.append("edge: " + " ".join(map(names.__getitem__, ranks)))
-    return "\n".join(lines) + "\n"
+    rank = {v: r for r, v in enumerate(order)}
+    vertices = [r for r, v in enumerate(order) if v in hg.vertices]
+    edges = [tuple(sorted(map(rank.__getitem__, e))) for e in hg.edges]
+    return _emit([format_label(v) for v in order], vertices, edges)

@@ -23,6 +23,13 @@ Each product call builds one Pair per product vertex, in a table
 ``cells[x][y]``, and the vertex set and every edge (cartesian and direct
 parts alike) take their pairs from it.  So a pair is built and hashed
 once, and set lookups on equal members stop at the identity check.
+
+The same generators also run over integer ranks, for callers that only
+print or count the product (`ranked_product`): there ``cells[x][y]`` is
+i*|Y| + j, with x the i-th and y the j-th factor label in label order, and
+an edge is the sorted tuple of its ranks.  Row-major ranks are the
+product's label order, so no Pair is built, hashed or sorted; Pair labels
+are built only for library results.
 """
 
 from __future__ import annotations
@@ -65,20 +72,26 @@ def _vertex_set(cells: dict, h1: Hypergraph, h2: Hypergraph) -> frozenset:
     return frozenset(cells[x][y] for x in h1.vertices for y in h2.vertices)
 
 
-def _cartesian_edges(cells: dict, h1: Hypergraph, h2: Hypergraph) -> frozenset:
+# Every edge generator takes `form`, which makes one edge from its cells:
+# frozenset over the Pair table, _rank_tuple over the integer one.
+def _rank_tuple(members) -> tuple:
+    return tuple(sorted(members))
+
+
+def _cartesian_edges(cells: dict, h1: Hypergraph, h2: Hypergraph, form) -> frozenset:
     edges = set()
     for x in h1.vertices:
         row = cells[x]
         for f in h2.edges:
-            edges.add(frozenset(map(row.__getitem__, f)))
+            edges.add(form(map(row.__getitem__, f)))
     for e in h1.edges:
         rows = [cells[x] for x in e]
         for y in h2.vertices:
-            edges.add(frozenset(row[y] for row in rows))
+            edges.add(form(row[y] for row in rows))
     return frozenset(edges)
 
 
-def _grid(cells: dict, e1: Edge, e2: Edge) -> list[list[Pair]]:
+def _grid(cells: dict, e1: Edge, e2: Edge) -> list[list]:
     """The cells of e1 x e2 in label order.  Rows run over the larger edge
     and columns over the smaller one."""
     xs, ys = sorted(e1, key=label_key), sorted(e2, key=label_key)
@@ -88,32 +101,32 @@ def _grid(cells: dict, e1: Edge, e2: Edge) -> list[list[Pair]]:
     return [[row[y] for row in rows] for y in ys]
 
 
-def _injection_edges(cells: dict, e1: Edge, e2: Edge) -> Iterator[Edge]:
+def _injection_edges(cells: dict, e1: Edge, e2: Edge, form) -> Iterator:
     """Graphs of injections from the smaller of (e1, e2) into the larger,
     as subsets of e1 x e2.  Equal sizes give the bijection graphs once."""
     grid = _grid(cells, e1, e2)
     cols = range(min(len(e1), len(e2)))
     for rows in itertools.permutations(grid, len(cols)):
-        yield frozenset(map(list.__getitem__, rows, cols))
+        yield form(map(list.__getitem__, rows, cols))
 
 
-def _surjection_edges(cells: dict, e1: Edge, e2: Edge) -> Iterator[Edge]:
+def _surjection_edges(cells: dict, e1: Edge, e2: Edge, form) -> Iterator:
     """Graphs of surjections from the larger of (e1, e2) onto the smaller,
     as subsets of e1 x e2."""
     grid = _grid(cells, e1, e2)
     nsmall = min(len(e1), len(e2))
     for cols in itertools.product(range(nsmall), repeat=len(grid)):
         if len(set(cols)) == nsmall:
-            yield frozenset(map(list.__getitem__, grid, cols))
+            yield form(map(list.__getitem__, grid, cols))
 
 
-def _choice_edges(cells: dict, e1: Edge, e2: Edge) -> Iterator[Edge]:
+def _choice_edges(cells: dict, e1: Edge, e2: Edge, form) -> Iterator:
     """dirnon edges of a single pair: one edge per choice of x in e1, y in e2."""
     grid = _grid(cells, e1, e2)
     for r, row in enumerate(grid):
         others = grid[:r] + grid[r + 1 :]
         for c, cell in enumerate(row):
-            yield frozenset({cell}.union(*(o[:c] + o[c + 1 :] for o in others)))
+            yield form({cell}.union(*(o[:c] + o[c + 1 :] for o in others)))
 
 
 _PAIR_GENERATORS = {
@@ -123,13 +136,31 @@ _PAIR_GENERATORS = {
 }
 
 
-def _direct_edges(kind: ProductKind, cells: dict, h1: Hypergraph, h2: Hypergraph) -> frozenset:
-    generate = _PAIR_GENERATORS[kind]
+# kind -> (its pair generator or None, with cartesian edges)
+_PARTS = {
+    ProductKind.CARTESIAN: (None, True),
+    ProductKind.DIRMIN: (_injection_edges, False),
+    ProductKind.DIRMAX: (_surjection_edges, False),
+    ProductKind.DIRNON: (_choice_edges, False),
+    ProductKind.NORMAL: (_injection_edges, True),
+    ProductKind.STRONG: (_surjection_edges, True),
+}
+
+
+def _edges(kind: ProductKind, cells: dict, h1: Hypergraph, h2: Hypergraph, form) -> frozenset:
+    """The product's edge set: its direct part, united with the cartesian
+    edges for cartesian, normal and strong."""
+    generate, with_cartesian = _PARTS[kind]
+    if generate is None:
+        return _cartesian_edges(cells, h1, h2, form)
     edges = set()
     for e1 in h1.edges:
         for e2 in h2.edges:
-            edges.update(generate(cells, e1, e2))
-    return frozenset(edges)
+            edges.update(generate(cells, e1, e2, form))
+    edges = frozenset(edges)
+    if with_cartesian:
+        edges = _cartesian_edges(cells, h1, h2, form) | edges
+    return edges
 
 
 def edge_pair_product(e1: Edge, e2: Edge, kind: ProductKind) -> set:
@@ -142,42 +173,37 @@ def edge_pair_product(e1: Edge, e2: Edge, kind: ProductKind) -> set:
         raise ValueError(f"kind {kind.value} has no single-pair edge set")
     if not e1 or not e2:
         raise ValueError("factor edges must be non-empty")
-    return set(_PAIR_GENERATORS[kind](_cells(e1, e2), e1, e2))
+    return set(_PAIR_GENERATORS[kind](_cells(e1, e2), e1, e2, frozenset))
+
+
+def _build(kind: ProductKind, h1: Hypergraph, h2: Hypergraph) -> Hypergraph:
+    """The vertex set and every edge take their pairs from one table."""
+    cells = _product_cells(h1, h2)
+    return Hypergraph(_vertex_set(cells, h1, h2), _edges(kind, cells, h1, h2, frozenset))
 
 
 def cartesian(h1: Hypergraph, h2: Hypergraph) -> Hypergraph:
-    cells = _product_cells(h1, h2)
-    return Hypergraph(_vertex_set(cells, h1, h2), _cartesian_edges(cells, h1, h2))
-
-
-def _direct(kind: ProductKind, h1: Hypergraph, h2: Hypergraph, with_cartesian: bool = False) -> Hypergraph:
-    """A direct product, united with the cartesian edges for normal and
-    strong.  The vertex set and every edge take their pairs from one table."""
-    cells = _product_cells(h1, h2)
-    edges = _direct_edges(kind, cells, h1, h2)
-    if with_cartesian:
-        edges = _cartesian_edges(cells, h1, h2) | edges
-    return Hypergraph(_vertex_set(cells, h1, h2), edges)
+    return _build(ProductKind.CARTESIAN, h1, h2)
 
 
 def dirmin(h1: Hypergraph, h2: Hypergraph) -> Hypergraph:
-    return _direct(ProductKind.DIRMIN, h1, h2)
+    return _build(ProductKind.DIRMIN, h1, h2)
 
 
 def dirmax(h1: Hypergraph, h2: Hypergraph) -> Hypergraph:
-    return _direct(ProductKind.DIRMAX, h1, h2)
+    return _build(ProductKind.DIRMAX, h1, h2)
 
 
 def dirnon(h1: Hypergraph, h2: Hypergraph) -> Hypergraph:
-    return _direct(ProductKind.DIRNON, h1, h2)
+    return _build(ProductKind.DIRNON, h1, h2)
 
 
 def normal(h1: Hypergraph, h2: Hypergraph) -> Hypergraph:
-    return _direct(ProductKind.DIRMIN, h1, h2, with_cartesian=True)
+    return _build(ProductKind.NORMAL, h1, h2)
 
 
 def strong(h1: Hypergraph, h2: Hypergraph) -> Hypergraph:
-    return _direct(ProductKind.DIRMAX, h1, h2, with_cartesian=True)
+    return _build(ProductKind.STRONG, h1, h2)
 
 
 _CONSTRUCTORS = {
@@ -193,3 +219,19 @@ _CONSTRUCTORS = {
 def product(kind: ProductKind, h1: Hypergraph, h2: Hypergraph) -> Hypergraph:
     """Dispatch to the construction for `kind`."""
     return _CONSTRUCTORS[ProductKind(kind)](h1, h2)
+
+
+def ranked_product(kind: ProductKind, h1: Hypergraph, h2: Hypergraph) -> tuple[list, list, list, frozenset]:
+    """The product on integer ranks: (xs, ys, vertices, edges).
+
+    xs and ys are the factors' labels (edge members included) in label
+    order; rank i*len(ys) + j stands for Pair(xs[i], ys[j]), so ranks follow
+    the label order of the pairs.  `vertices` lists the ranks of V1 x V2 in
+    ascending order and each edge is a sorted tuple of ranks.
+    """
+    xs = sorted(h1.vertices.union(*h1.edges), key=label_key)
+    ys = sorted(h2.vertices.union(*h2.edges), key=label_key)
+    n = len(ys)
+    cells = {x: {y: i * n + j for j, y in enumerate(ys)} for i, x in enumerate(xs)}
+    vertices = [cells[x][y] for x in xs if x in h1.vertices for y in ys if y in h2.vertices]
+    return xs, ys, vertices, _edges(ProductKind(kind), cells, h1, h2, _rank_tuple)

@@ -1,14 +1,30 @@
 import concurrent.futures
+import contextlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import example, given
 
 import hgprod.counting
-from hgprod import cartesian, from_tokens, parse_hg, serialize_hg, strong
+import hgprod.products
+import strategies as stg
+from hgprod import (
+    ProductKind,
+    cartesian,
+    format_label,
+    from_tokens,
+    parse_hg,
+    product,
+    serialize_hg,
+    strong,
+)
 from hgprod.cli import main
 from hgprod.hgio import _MAX_LABEL_PAIRS
 
@@ -74,6 +90,22 @@ def test_product_flatten_emits_legend_and_parses(run, gh):
     assert len(flattened.edges) == len(expected.edges)
 
 
+def test_product_flatten_bytes_are_pinned(run, files):
+    """12 vertices, so the renamed atoms sort as strings (v10 before v2),
+    not in the order of the pairs they stand for."""
+    g = files("g3.hg", "vertices: a b c\nedge: a b\n")
+    h = files("h4.hg", "vertices: w x y z\nedge: x y\n")
+    legend = [f"# v{i} = ({a},{b})" for i, (a, b) in enumerate((a, b) for a in "abc" for b in "wxyz")]
+    assert run("product", "--kind", "strong", g, h, "--flatten") == (
+        0,
+        "\n".join(legend) + "\n"
+        "vertices: v0 v1 v10 v11 v2 v3 v4 v5 v6 v7 v8 v9\n"
+        "edge: v0 v4\nedge: v1 v2\nedge: v1 v5\nedge: v1 v6\nedge: v10 v9\n"
+        "edge: v2 v5\nedge: v2 v6\nedge: v3 v7\nedge: v5 v6\n",
+        "",
+    )
+
+
 @pytest.mark.parametrize("flatten", [[], ["--flatten"]])
 def test_product_unwritable_output_exits_2_with_one_error_line(run, gh, tmp_path, flatten):
     g, h = gh
@@ -98,7 +130,10 @@ def test_count_without_verify_builds_no_product(run, files, monkeypatch):
     def refuse(*args):
         raise AssertionError("count enumerated the product without --verify")
 
-    monkeypatch.setattr(hgprod.counting, "product", refuse)
+    # count --verify enumerates through ranked_product; every product,
+    # labelled or ranked, takes its edges from products._edges.
+    monkeypatch.setattr(hgprod.counting, "ranked_product", refuse)
+    monkeypatch.setattr(hgprod.products, "_edges", refuse)
     g = files("g8.hg", "vertices: a b c d e f g h\nedge: a b c d e f g h\n")
     h = files("h7.hg", "vertices: p q r s t u v\nedge: p q r s t u v\n")
     assert run("count", "--kind", "dirmax", g, h) == (0, "kind: dirmax\nformula_count: 141120\n", "")
@@ -146,6 +181,101 @@ def test_count_closed_form_of_a_1200_member_edge(run, files, kind):
     big = files("big.hg", f"vertices: {names}\nedge: {names}\n")
     code, out, err = run("count", "--kind", kind, big, files("g.hg", G_TEXT))
     assert (code, out, err) == (0, f"kind: {kind}\nformula_count: {formula}\n", "")
+
+
+def _decimal_value(digits: str) -> int:
+    """The value of a decimal string, read in pieces below Python's
+    int/str digit limit."""
+    value = 0
+    for i in range(0, len(digits), 1000):
+        piece = digits[i : i + 1000]
+        value = value * 10 ** len(piece) + int(piece)
+    return value
+
+
+def test_count_prints_a_closed_form_of_more_than_4300_digits(run, files):
+    """1700! * S(1700, 1700) = 1700!, 4,755 digits: past the default limit
+    of Python's int-to-str conversion, which used to end in a traceback."""
+    names = " ".join(f"v{i}" for i in range(1700))
+    big = files("big.hg", f"vertices: {names}\nedge: {names}\n")
+    get_limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+    limit = get_limit()
+    code, out, err = run("count", "--kind", "dirmax", big, big)
+    assert (code, err) == (0, "")
+    head, digits = out.removesuffix("\n").split("formula_count: ")
+    assert head == "kind: dirmax\n" and _decimal_value(digits) == math.factorial(1700)
+    code, out, err = run("count", "--kind", "dirmax", big, big, "--json")
+    assert (code, err) == (0, "")
+    head, digits = out.removesuffix("\n}\n").split('"formula_count": ')
+    assert head == '{\n  "kind": "dirmax",\n  ' and _decimal_value(digits) == math.factorial(1700)
+    assert get_limit() == limit  # lifted only around the conversion
+
+
+# ---------------------------------------------------------------- rank path
+#
+# product (without --flatten), fmt and count --verify run on integer ranks
+# and never build the product's labels; each must print what the library
+# results give.
+
+def _cli(*argv) -> tuple[int, str]:
+    """main in-process with stdout captured (no fixtures, for hypothesis)."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(list(argv))
+    return code, out.getvalue()
+
+
+def _factor_files(tmp_path_factory, *factors) -> list[str]:
+    folder = tmp_path_factory.mktemp("factors")
+    paths = [folder / f"f{i}.hg" for i in range(len(factors))]
+    for path, hg in zip(paths, factors):
+        path.write_text(serialize_hg(hg), encoding="utf-8")
+    return [str(path) for path in paths]
+
+
+nested_factors = stg.hypergraphs(max_vertices=4, max_edges=3, labels=stg.any_labels)
+
+
+@pytest.mark.parametrize("kind", [k.value for k in ProductKind])
+@given(h1=nested_factors, h2=nested_factors)
+def test_product_stdout_is_the_serialized_library_product(tmp_path_factory, kind, h1, h2):
+    a, b = _factor_files(tmp_path_factory, h1, h2)
+    assert _cli("product", "--kind", kind, a, b) == (0, serialize_hg(product(kind, h1, h2)))
+
+
+@given(stg.hypergraphs(max_vertices=6, labels=stg.any_labels), st.randoms(use_true_random=False))
+def test_fmt_is_serialize_of_parse(tmp_path_factory, h, rnd):
+    """On texts with shuffled lines and tokens, tokens repeated within an
+    edge or the vertices line, repeated edges and comments."""
+    tokens = [format_label(v) for v in h.vertices]
+    lines = ["# " + " ".join(tokens)]
+    for e in h.edges:
+        members = [format_label(v) for v in e]
+        members += rnd.choices(members, k=rnd.randint(0, 2))
+        rnd.shuffle(members)
+        lines += ["edge: " + " ".join(members)] * rnd.randint(1, 2)
+        lines.append(rnd.choice(["#", "", "  # " + members[0]]))
+    rnd.shuffle(lines)
+    rnd.shuffle(tokens)
+    vertex_line = "vertices: " + " ".join(tokens + rnd.choices(tokens, k=rnd.randint(0, 2)))
+    text = "\n".join(["# a comment", vertex_line, *lines]) + "\n"
+    path = tmp_path_factory.mktemp("fmt") / "messy.hg"
+    path.write_text(text, encoding="utf-8")
+    assert _cli("fmt", str(path)) == (0, serialize_hg(parse_hg(text)))
+
+
+loop = from_tokens("a", ["a"])
+
+
+@pytest.mark.parametrize("kind", ["cartesian", "dirmax", "strong"])
+@given(h1=nested_factors, h2=nested_factors)
+@example(h1=loop, h2=loop)  # {a} x {a} is generated twice: a singleton-edge collision
+def test_count_verify_enumerates_the_library_product(tmp_path_factory, kind, h1, h2):
+    a, b = _factor_files(tmp_path_factory, h1, h2)
+    code, out = _cli("count", "--kind", kind, a, b, "--verify", "--json")
+    payload = json.loads(out)
+    assert payload["enumerated_count"] == len(product(kind, h1, h2).edges)
+    assert code == (0 if payload["agreement"] else 1)
 
 
 # ---------------------------------------------------------------- iso
@@ -483,6 +613,8 @@ def test_deeply_nested_label_exits_2_with_line_number(run, files, command):
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "line 2: bad label" in err
+    # The quoted token is cut short: the line is not the 6 KB token.
+    assert len(err.encode("utf-8")) < len(deep) + 150
 
 
 def test_label_at_the_nesting_bound_round_trips_through_fmt(run, files):

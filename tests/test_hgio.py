@@ -75,6 +75,20 @@ def test_parse_errors_carry_line_numbers():
         assert f"line {lineno}:" in str(err.value)
 
 
+@pytest.mark.parametrize("text, fragment", [
+    (f"vertices: c {_nested(1500)}\n", "bad label '(((("),
+    (f"vertices: c (a,b){')' * 3000}\n", "trailing input after label: ')))"),
+    (f"vertices: c\nedge: c {_nested(150)}\n", "unknown vertex '(((("),
+    (f"vertices: c\nwhat: {'c ' * 3000}\n", "got 'what:"),
+], ids=["bad label", "trailing input", "unknown vertex", "bad line"])
+def test_errors_quote_at_most_40_characters_of_a_token(text, fragment):
+    with pytest.raises(HgParseError) as err:
+        parse_hg(text)
+    message = str(err.value)
+    assert fragment in message and "chars)" in message
+    assert len(message) < 200
+
+
 def test_missing_vertices_line():
     with pytest.raises(HgParseError) as err:
         parse_hg("# nothing but comments\n")

@@ -42,3 +42,26 @@ def test_readme_library_example_runs():
     library = readme.split("## Library", 1)[1]
     block = re.search(r"```python\n(.*?)```", library, re.DOTALL).group(1)
     exec(compile(block, "README.md", "exec"), {})
+
+
+def _readme_listing(command: str) -> str:
+    """The output the README's command-line section shows for `command`:
+    the lines after ``$ command`` up to the next blank line."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    listing = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    for block in listing.split("\n\n"):
+        first, _, output = block.partition("\n")
+        if first.split("#", 1)[0].strip() == f"$ {command}":
+            return output + "\n"
+    raise AssertionError(f"no README listing for {command!r}")
+
+
+def test_readme_command_listings_match_the_cli(tmp_path):
+    (tmp_path / "g.hg").write_text("vertices: a b\nedge: a b\n", encoding="utf-8")
+    (tmp_path / "h.hg").write_text("vertices: x y z\nedge: x y z\n", encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": str(Path(hgprod.__file__).parents[1])}
+    for command in ("hgprod product --kind dirmax g.hg h.hg", "hgprod count --kind dirmax g.hg h.hg --verify"):
+        result = subprocess.run([sys.executable, "-m", *command.split()], cwd=tmp_path, env=env,
+                                capture_output=True, text=True, timeout=120)
+        assert (result.returncode, result.stderr) == (0, "")
+        assert result.stdout == _readme_listing(command)
