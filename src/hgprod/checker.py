@@ -16,7 +16,6 @@ import math
 import os
 import random
 from dataclasses import dataclass, replace
-from typing import Sequence
 
 from .core import (
     Atom,
@@ -112,6 +111,32 @@ def _mismatch(left, right, forward, backward) -> Edge | None:
     return min((f for f in right if frozenset(backward(v) for v in f) not in left), key=edge_key)
 
 
+def _audit(
+    kind: ProductKind, law: str, left: Hypergraph, right: Hypergraph, forward, backward,
+    factors: tuple[Hypergraph, ...], full_iso: bool = False, iso_bound: int = 12,
+) -> LawReport:
+    """Compare two products through the label map `forward` (and
+    `backward` for a witness from the right side), optionally run the full
+    isomorphism search, and report."""
+    witness = _mismatch(left.edges, right.edges, forward, backward)
+    exists: bool | None = None
+    if full_iso:
+        if witness is None:
+            exists = True  # the map is itself a witness
+        elif len(left.vertices) <= iso_bound:
+            exists = are_isomorphic(left, right, max_vertices=iso_bound).isomorphic
+    return LawReport(
+        kind=kind,
+        law=law,
+        left_count=len(left.edges),
+        right_count=len(right.edges),
+        psi_is_isomorphism=witness is None,
+        exists_isomorphism=exists,
+        witness_edge=witness,
+        factor_summaries=tuple(map(summarize, factors)),
+    )
+
+
 def check_associativity(
     kind: ProductKind,
     a: Hypergraph,
@@ -129,24 +154,9 @@ def check_associativity(
     kind = ProductKind(kind)
     left = product(kind, a, product(kind, b, c))
     right = product(kind, product(kind, a, b), c)
-    witness = _mismatch(
-        left.edges, right.edges, regroup_right_to_left, regroup_left_to_right
-    )
-    exists: bool | None = None
-    if full_iso:
-        if witness is None:
-            exists = True  # the regrouping map is itself a witness
-        elif len(left.vertices) <= iso_bound:
-            exists = are_isomorphic(left, right, max_vertices=iso_bound).isomorphic
-    return LawReport(
-        kind=kind,
-        law="associativity",
-        left_count=len(left.edges),
-        right_count=len(right.edges),
-        psi_is_isomorphism=witness is None,
-        exists_isomorphism=exists,
-        witness_edge=witness,
-        factor_summaries=(summarize(a), summarize(b), summarize(c)),
+    return _audit(
+        kind, "associativity", left, right, regroup_right_to_left, regroup_left_to_right,
+        (a, b, c), full_iso, iso_bound,
     )
 
 
@@ -155,17 +165,7 @@ def check_commutativity(kind: ProductKind, a: Hypergraph, b: Hypergraph) -> LawR
     kind = ProductKind(kind)
     left = product(kind, a, b)
     right = product(kind, b, a)
-    witness = _mismatch(left.edges, right.edges, swap_map, swap_map)
-    return LawReport(
-        kind=kind,
-        law="commutativity",
-        left_count=len(left.edges),
-        right_count=len(right.edges),
-        psi_is_isomorphism=witness is None,
-        exists_isomorphism=None,
-        witness_edge=witness,
-        factor_summaries=(summarize(a), summarize(b)),
-    )
+    return _audit(kind, "commutativity", left, right, swap_map, swap_map, (a, b))
 
 
 def check_lemma1(
@@ -187,19 +187,9 @@ def check_lemma1(
             raise PreconditionError(f"rank of first factor is {rank(g)}, need exactly 2")
         if rank(h) > 3:
             raise PreconditionError(f"rank of second factor is {rank(h)}, need at most 3")
-    left = dirmax(g, h)
-    right = dirnon(g, h)
     identity = lambda v: v
-    witness = _mismatch(left.edges, right.edges, identity, identity)
-    return LawReport(
-        kind=ProductKind.DIRMAX,
-        law="lemma1",
-        left_count=len(left.edges),
-        right_count=len(right.edges),
-        psi_is_isomorphism=witness is None,
-        exists_isomorphism=None,
-        witness_edge=witness,
-        factor_summaries=(summarize(g), summarize(h)),
+    return _audit(
+        ProductKind.DIRMAX, "lemma1", dirmax(g, h), dirnon(g, h), identity, identity, (g, h)
     )
 
 

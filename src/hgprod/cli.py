@@ -31,11 +31,11 @@ from .checker import (
     fuzz_report_dict,
     law_report_dict,
 )
-from .core import Atom, format_edge, format_label, label_key, validate
+from .core import format_edge, format_label, label_key, validate
 from .counting import COUNTABLE_KINDS, closed_form_count, verify_count
-from .hgio import HgParseError, _emit, _parse, parse_hg, serialize_hg
-from .iso import IsoBoundError, apply_mapping, are_isomorphic
-from .products import ProductKind, product, ranked_product
+from .hgio import HgParseError, _emit, _parse, parse_hg
+from .iso import IsoBoundError, are_isomorphic
+from .products import ProductKind, ranked_product
 
 EXIT_OK = 0
 EXIT_VIOLATED = 1
@@ -80,14 +80,6 @@ def _write(text: str, out: str | None) -> None:
         raise InputError(f"{out}: {exc.strerror or exc}") from exc
 
 
-def _flatten(hg):
-    """Rename vertices to v0..vn in canonical order; returns (renamed, legend)."""
-    ordered = sorted(hg.vertices, key=label_key)
-    mapping = {v: Atom(f"v{i}") for i, v in enumerate(ordered)}
-    legend = [f"# v{i} = {format_label(v)}" for i, v in enumerate(ordered)]
-    return apply_mapping(hg, mapping), legend
-
-
 def _print_report(report: LawReport, as_json: bool) -> int:
     """Print one law report; the exit code says whether the law held."""
     if as_json:
@@ -115,16 +107,19 @@ def _any_int_digits():
 def _cmd_product(args) -> int:
     h1 = _load(args.factors[0])
     h2 = _load(args.factors[1])
-    kind = ProductKind(args.kind)
+    xs, ys, vertices, edges = ranked_product(ProductKind(args.kind), h1, h2)
+    names = [f"({a},{b})" for a in map(format_label, xs) for b in map(format_label, ys)]
+    legend = ""
     if args.flatten:
-        # The renamed atoms sort as strings (v10 before v2), not by rank.
-        result, legend = _flatten(product(kind, h1, h2))
-        text = "".join(f"{line}\n" for line in legend) + serialize_hg(result)
-    else:
-        xs, ys, vertices, edges = ranked_product(kind, h1, h2)
-        names = [f"({a},{b})" for a in map(format_label, xs) for b in map(format_label, ys)]
-        text = _emit(names, vertices, edges)
-    _write(text, args.output)
+        # Vertex k in rank order is renamed v{k}.  The new names sort as
+        # strings (v10 before v2), so rank again in that order.
+        legend = "".join(f"# v{k} = {names[r]}\n" for k, r in enumerate(vertices))
+        order = sorted(range(len(vertices)), key="v{}".format)
+        rerank = {vertices[k]: r for r, k in enumerate(order)}
+        names = [f"v{k}" for k in order]
+        vertices = range(len(order))
+        edges = [tuple(sorted(map(rerank.__getitem__, e))) for e in edges]
+    _write(legend + _emit(names, vertices, edges), args.output)
     return EXIT_OK
 
 

@@ -17,7 +17,10 @@ Every product has vertex set V1 x V2 (as Pair labels).  The edge sets:
 Enumeration goes through injections/surjections rather than a subset scan;
 the projection constraints make that exact.  Emitted edges always live in
 e1 x e2 regardless of which factor edge is larger, and edge sets are
-deduplicated across generating pairs (set semantics).
+deduplicated across generating pairs (set semantics).  One table, `_PARTS`,
+names each kind's pair generator and whether it adds the cartesian edges;
+`product`, `ranked_product` and `edge_pair_product` all dispatch through it,
+and the six named constructors call `product`.
 
 Each product call builds one Pair per product vertex, in a table
 ``cells[x][y]``, and the vertex set and every edge (cartesian and direct
@@ -92,13 +95,13 @@ def _cartesian_edges(cells: dict, h1: Hypergraph, h2: Hypergraph, form) -> froze
 
 
 def _grid(cells: dict, e1: Edge, e2: Edge) -> list[list]:
-    """The cells of e1 x e2 in label order.  Rows run over the larger edge
-    and columns over the smaller one."""
-    xs, ys = sorted(e1, key=label_key), sorted(e2, key=label_key)
-    rows = [cells[x] for x in xs]
-    if len(xs) >= len(ys):
-        return [[row[y] for y in ys] for row in rows]
-    return [[row[y] for row in rows] for y in ys]
+    """The cells of e1 x e2, rows over the larger edge and columns over the
+    smaller one.  Row order does not matter: edges are sets or sorted
+    tuples."""
+    rows = [cells[x] for x in e1]
+    if len(e1) >= len(e2):
+        return [[row[y] for y in e2] for row in rows]
+    return [[row[y] for row in rows] for y in e2]
 
 
 def _injection_edges(cells: dict, e1: Edge, e2: Edge, form) -> Iterator:
@@ -127,13 +130,6 @@ def _choice_edges(cells: dict, e1: Edge, e2: Edge, form) -> Iterator:
         others = grid[:r] + grid[r + 1 :]
         for c, cell in enumerate(row):
             yield form({cell}.union(*(o[:c] + o[c + 1 :] for o in others)))
-
-
-_PAIR_GENERATORS = {
-    ProductKind.DIRMIN: _injection_edges,
-    ProductKind.DIRMAX: _surjection_edges,
-    ProductKind.DIRNON: _choice_edges,
-}
 
 
 # kind -> (its pair generator or None, with cartesian edges)
@@ -169,56 +165,44 @@ def edge_pair_product(e1: Edge, e2: Edge, kind: ProductKind) -> set:
     Only the three direct kinds act pairwise; the full direct products are
     the unions of these sets over all edge pairs.
     """
-    if kind not in _PAIR_GENERATORS:
+    kind = ProductKind(kind)
+    if kind not in DIRECT_KINDS:
         raise ValueError(f"kind {kind.value} has no single-pair edge set")
     if not e1 or not e2:
         raise ValueError("factor edges must be non-empty")
-    return set(_PAIR_GENERATORS[kind](_cells(e1, e2), e1, e2, frozenset))
-
-
-def _build(kind: ProductKind, h1: Hypergraph, h2: Hypergraph) -> Hypergraph:
-    """The vertex set and every edge take their pairs from one table."""
-    cells = _product_cells(h1, h2)
-    return Hypergraph(_vertex_set(cells, h1, h2), _edges(kind, cells, h1, h2, frozenset))
-
-
-def cartesian(h1: Hypergraph, h2: Hypergraph) -> Hypergraph:
-    return _build(ProductKind.CARTESIAN, h1, h2)
-
-
-def dirmin(h1: Hypergraph, h2: Hypergraph) -> Hypergraph:
-    return _build(ProductKind.DIRMIN, h1, h2)
-
-
-def dirmax(h1: Hypergraph, h2: Hypergraph) -> Hypergraph:
-    return _build(ProductKind.DIRMAX, h1, h2)
-
-
-def dirnon(h1: Hypergraph, h2: Hypergraph) -> Hypergraph:
-    return _build(ProductKind.DIRNON, h1, h2)
-
-
-def normal(h1: Hypergraph, h2: Hypergraph) -> Hypergraph:
-    return _build(ProductKind.NORMAL, h1, h2)
-
-
-def strong(h1: Hypergraph, h2: Hypergraph) -> Hypergraph:
-    return _build(ProductKind.STRONG, h1, h2)
-
-
-_CONSTRUCTORS = {
-    ProductKind.CARTESIAN: cartesian,
-    ProductKind.DIRMIN: dirmin,
-    ProductKind.DIRMAX: dirmax,
-    ProductKind.DIRNON: dirnon,
-    ProductKind.NORMAL: normal,
-    ProductKind.STRONG: strong,
-}
+    generate, _ = _PARTS[kind]
+    return set(generate(_cells(e1, e2), e1, e2, frozenset))
 
 
 def product(kind: ProductKind, h1: Hypergraph, h2: Hypergraph) -> Hypergraph:
-    """Dispatch to the construction for `kind`."""
-    return _CONSTRUCTORS[ProductKind(kind)](h1, h2)
+    """The product of `kind` (a ProductKind or its name).  The vertex set
+    and every edge take their pairs from one table."""
+    cells = _product_cells(h1, h2)
+    return Hypergraph(_vertex_set(cells, h1, h2), _edges(ProductKind(kind), cells, h1, h2, frozenset))
+
+
+def cartesian(h1: Hypergraph, h2: Hypergraph) -> Hypergraph:
+    return product(ProductKind.CARTESIAN, h1, h2)
+
+
+def dirmin(h1: Hypergraph, h2: Hypergraph) -> Hypergraph:
+    return product(ProductKind.DIRMIN, h1, h2)
+
+
+def dirmax(h1: Hypergraph, h2: Hypergraph) -> Hypergraph:
+    return product(ProductKind.DIRMAX, h1, h2)
+
+
+def dirnon(h1: Hypergraph, h2: Hypergraph) -> Hypergraph:
+    return product(ProductKind.DIRNON, h1, h2)
+
+
+def normal(h1: Hypergraph, h2: Hypergraph) -> Hypergraph:
+    return product(ProductKind.NORMAL, h1, h2)
+
+
+def strong(h1: Hypergraph, h2: Hypergraph) -> Hypergraph:
+    return product(ProductKind.STRONG, h1, h2)
 
 
 def ranked_product(kind: ProductKind, h1: Hypergraph, h2: Hypergraph) -> tuple[list, list, list, frozenset]:

@@ -16,10 +16,13 @@ import hgprod.counting
 import hgprod.products
 import strategies as stg
 from hgprod import (
+    Atom,
     ProductKind,
+    apply_mapping,
     cartesian,
     format_label,
     from_tokens,
+    label_key,
     parse_hg,
     product,
     serialize_hg,
@@ -104,6 +107,27 @@ def test_product_flatten_bytes_are_pinned(run, files):
         "edge: v2 v5\nedge: v2 v6\nedge: v3 v7\nedge: v5 v6\n",
         "",
     )
+
+
+def relabelled_flatten(hg) -> str:
+    """--flatten by relabelling the labelled product: the legend, then the
+    product with its vertices renamed v0..vn in label order."""
+    ordered = sorted(hg.vertices, key=label_key)
+    legend = "".join(f"# v{i} = {format_label(v)}\n" for i, v in enumerate(ordered))
+    return legend + serialize_hg(apply_mapping(hg, {v: Atom(f"v{i}") for i, v in enumerate(ordered)}))
+
+
+flatten_factors = stg.hypergraphs(max_vertices=5, max_edges=3, max_edge_size=3, labels=stg.any_labels).filter(
+    lambda hg: len(hg.vertices) >= 4
+)
+
+
+@pytest.mark.parametrize("kind", [k.value for k in ProductKind])
+@given(h1=flatten_factors, h2=flatten_factors)
+def test_product_flatten_is_the_relabelled_library_product(tmp_path_factory, kind, h1, h2):
+    """At least 16 vertices, so v10 and up sort among the one-digit names."""
+    a, b = _factor_files(tmp_path_factory, h1, h2)
+    assert _cli("product", "--kind", kind, a, b, "--flatten") == (0, relabelled_flatten(product(kind, h1, h2)))
 
 
 @pytest.mark.parametrize("flatten", [[], ["--flatten"]])
@@ -345,6 +369,14 @@ ISO_FILES = {
 def test_iso_stdout_bytes_are_pinned(run, files, pair, flags, code, stdout):
     paths = [files(name, ISO_FILES[name]) for name in pair]
     assert run("iso", *paths, *flags) == (code, stdout, "")
+
+
+def test_iso_root_refinement_refutation_explores_no_node(run, files):
+    """Equal degree sequences pass the screens; refinement at the root
+    refutes before any individualisation."""
+    a = files("a.hg", "vertices: a b c d e f\nedge: a d\nedge: b c\nedge: c d\nedge: d e\nedge: e f\n")
+    b = files("b.hg", "vertices: a b c d e f\nedge: a c\nedge: a e\nedge: a f\nedge: b d\nedge: c e\n")
+    assert run("iso", a, b) == (1, "isomorphic: false\nnodes_explored: 0\n", "")
 
 
 def test_iso_negative_bound_exits_2_on_a_screened_pair(run, files):

@@ -285,3 +285,12 @@ def test_decision_agrees_with_bijection_scan(h1, h2):
        stg.hypergraphs(max_vertices=5, max_edges=3))
 def test_decision_is_symmetric(h1, h2):
     assert are_isomorphic(h1, h2).isomorphic == are_isomorphic(h2, h1).isomorphic
+
+
+def test_root_refinement_refutes_with_no_search_node():
+    """Both have degree sequence 3,2,2,1,1,1, so the count and signature
+    screens pass; colour refinement at the root tells them apart."""
+    g = from_tokens("a b c d e f", ["a d", "b c", "c d", "d e", "e f"])
+    h = from_tokens("a b c d e f", ["a c", "a e", "a f", "b d", "c e"])
+    assert are_isomorphic(g, h) == IsoResult(False, None, 0)
+    assert are_isomorphic(h, g) == IsoResult(False, None, 0)

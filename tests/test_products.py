@@ -99,7 +99,8 @@ def test_singleton_pair_all_direct_kinds_agree():
 
 def test_edge_pair_product_rejects_nonpair_kinds_and_empty_edges():
     e = frozenset(atoms("a b"))
-    for kind in (ProductKind.CARTESIAN, ProductKind.NORMAL, ProductKind.STRONG):
+    for kind in (ProductKind.CARTESIAN, ProductKind.NORMAL, ProductKind.STRONG,
+                 "cartesian", "normal", "strong", "bogus"):
         with pytest.raises(ValueError):
             edge_pair_product(e, e, kind)
     with pytest.raises(ValueError):
@@ -250,6 +251,70 @@ def test_unvalidated_factor_still_multiplies():
     prod = cartesian(stray, from_tokens("x", ["x"]))
     assert prod.vertices == {Pair(a, Atom("x"))}
     assert pe(("a", "x"), ("b", "x")) in prod.edges
+
+
+# A factor with an empty edge (unvalidated) times one 2-edge {x, y}: the
+# product edges as the right-hand tokens paired with a, pinned as literals.
+# The empty edge crossed with a vertex, and the one injection of the empty
+# edge, give the empty product edge; no surjection or choice does.
+EMPTY_EDGE_PRODUCTS = {
+    "cartesian": {(), ("x",), ("y",), ("x", "y")},
+    "dirmin": {(), ("x",), ("y",)},
+    "dirmax": {("x", "y")},
+    "dirnon": {("x",), ("y",)},
+    "normal": {(), ("x",), ("y",), ("x", "y")},
+    "strong": {(), ("x",), ("y",), ("x", "y")},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(EMPTY_EDGE_PRODUCTS))
+def test_products_of_a_factor_with_an_empty_edge(kind):
+    a = Atom("a")
+    with_empty = hypergraph([a], [[a], []])
+    two = from_tokens("x y", ["x y"])
+    expected = EMPTY_EDGE_PRODUCTS[kind]
+    left = product(kind, with_empty, two)
+    assert left.vertices == {Pair(a, Atom("x")), Pair(a, Atom("y"))}
+    assert left.edges == {pe(*(("a", t) for t in e)) for e in expected}
+    right = product(kind, two, with_empty)
+    assert right.vertices == {Pair(Atom("x"), a), Pair(Atom("y"), a)}
+    assert right.edges == {pe(*((t, "a") for t in e)) for e in expected}
+
+
+# Brute force from the definitions in the README's product table, written
+# independently of the library's generators.
+def brute_cartesian(h1, h2):
+    """A vertex crossed with an edge, or an edge crossed with a vertex."""
+    return {frozenset(Pair(x, y) for y in f) for x in h1.vertices for f in h2.edges} | {
+        frozenset(Pair(x, y) for x in e) for e in h1.edges for y in h2.vertices
+    }
+
+
+def brute_dirnon(h1, h2):
+    """{(x,y)} united with (e minus x) x (f minus y), for each choice of x in
+    e and y in f, over all edge pairs."""
+    return {
+        frozenset({Pair(x, y)} | {Pair(u, w) for u in e - {x} for w in f - {y}})
+        for e in h1.edges
+        for f in h2.edges
+        for x in e
+        for y in f
+    }
+
+
+nested = stg.hypergraphs(max_vertices=4, max_edges=3, max_edge_size=3, labels=stg.any_labels)
+
+
+@given(nested, nested)
+def test_cartesian_matches_its_definition(h1, h2):
+    grid = {Pair(x, y) for x in h1.vertices for y in h2.vertices}
+    assert cartesian(h1, h2) == hypergraph(grid, brute_cartesian(h1, h2))
+
+
+@given(nested, nested)
+def test_dirnon_matches_its_definition(h1, h2):
+    grid = {Pair(x, y) for x in h1.vertices for y in h2.vertices}
+    assert dirnon(h1, h2) == hypergraph(grid, brute_dirnon(h1, h2))
 
 
 def test_pair_product_edges_all_satisfy_defining_predicate():
