@@ -108,7 +108,8 @@ def _cmd_product(args) -> int:
     h1 = _load(args.factors[0])
     h2 = _load(args.factors[1])
     xs, ys, vertices, edges = ranked_product(ProductKind(args.kind), h1, h2)
-    names = [f"({a},{b})" for a in map(format_label, xs) for b in map(format_label, ys)]
+    rights = [format_label(y) for y in ys]
+    names = [f"({a},{b})" for a in map(format_label, xs) for b in rights]
     legend = ""
     if args.flatten:
         # Vertex k in rank order is renamed v{k}.  The new names sort as

@@ -18,28 +18,38 @@ Enumeration goes through injections/surjections rather than a subset scan;
 the projection constraints make that exact.  Emitted edges always live in
 e1 x e2 regardless of which factor edge is larger, and edge sets are
 deduplicated across generating pairs (set semantics).  One table, `_PARTS`,
-names each kind's pair generator and whether it adds the cartesian edges;
+names each kind's table builder and whether it adds the cartesian edges;
 `product`, `ranked_product` and `edge_pair_product` all dispatch through it,
 and the six named constructors call `product`.
 
-Each product call builds one Pair per product vertex, in a table
-``cells[x][y]``, and the vertex set and every edge (cartesian and direct
-parts alike) take their pairs from it.  So a pair is built and hashed
-once, and set lookups on equal members stop at the identity check.
+Up to relabelling, the edges a pair (e1, e2) adds to a direct kind depend
+only on |e1| and |e2|.  So each kind builds one position table per size
+pair (a, b), once per process: its edges on the a x b grid as sorted tuples
+of positions i*b + j.  A product call lists the pair's cells in that order,
+``flat = [cells[x][y] for x in e1 for y in e2]``, and maps each table entry
+through it.  dirmax tables come from ordered set partitions, m!*S(M, m) of
+them, with no filter over all m**M maps.
 
-The same generators also run over integer ranks, for callers that only
-print or count the product (`ranked_product`): there ``cells[x][y]`` is
-i*|Y| + j, with x the i-th and y the j-th factor label in label order, and
-an edge is the sorted tuple of its ranks.  Row-major ranks are the
-product's label order, so no Pair is built, hashed or sorted; Pair labels
-are built only for library results.
+Each product call builds one Pair per product vertex, in a table
+``cells[x][y]``; the vertex set and every edge take their pairs from it.
+So a pair is built and hashed once, and set lookups on equal members stop
+at the identity check.
+
+`ranked_product`, for callers that only print or count the product, maps
+the tables through integer ranks instead: ``cells[x][y]`` is i*|Y| + j,
+with x the i-th and y the j-th factor label in label order.  Each factor
+edge lists its members in rank order, so ``flat`` is ascending and every
+edge comes out as an ascending tuple of ranks, in the product's label
+order; no Pair is built, hashed or sorted.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from enum import Enum
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .core import Edge, Hypergraph, Pair, label_key
 
@@ -65,98 +75,108 @@ def _cells(xs, ys) -> dict:
     return {x: {y: Pair(x, y) for y in ys} for x in xs}
 
 
-def _product_cells(h1: Hypergraph, h2: Hypergraph) -> dict:
-    # Edge members outside the vertex set get cells too, so an unvalidated
-    # factor still multiplies as its edges say.
-    return _cells(h1.vertices.union(*h1.edges), h2.vertices.union(*h2.edges))
+def _product_cells(h1: Hypergraph, h2: Hypergraph) -> tuple[dict, frozenset]:
+    """The cell table, and the vertex set V1 x V2 made of its pairs.  Edge
+    members outside the vertex set get cells too, so an unvalidated factor
+    still multiplies as its edges say.  Rows list V2's cells first."""
+    v2 = h2.vertices
+    cells = _cells(h1.vertices.union(*h1.edges), [*v2, *v2.union(*h2.edges).difference(v2)])
+    rows = (itertools.islice(cells[x].values(), len(v2)) for x in h1.vertices)
+    return cells, frozenset(itertools.chain.from_iterable(rows))
 
 
-def _vertex_set(cells: dict, h1: Hypergraph, h2: Hypergraph) -> frozenset:
-    return frozenset(cells[x][y] for x in h1.vertices for y in h2.vertices)
+def _injections(a: int, b: int) -> Iterable[tuple]:
+    """Graphs of injections from the smaller side of the a x b grid into the
+    larger: m = min(a, b) rows, ascending, paired with m distinct columns.
+    Equal sizes give the bijection graphs once."""
+    m = min(a, b)
+    return (tuple(map(operator.add, rows, cols))
+            for rows in itertools.combinations([i * b for i in range(a)], m)
+            for cols in itertools.permutations(range(b), m))
 
 
-# Every edge generator takes `form`, which makes one edge from its cells:
-# frozenset over the Pair table, _rank_tuple over the integer one.
-def _rank_tuple(members) -> tuple:
-    return tuple(sorted(members))
+def _set_partitions(n: int, k: int) -> list[tuple]:
+    """The partitions of range(n) into exactly k blocks, as restricted growth
+    strings: element i lies in block g[i], and blocks open in order."""
+    grown = [((), 0)]  # (string so far, blocks opened)
+    for left in reversed(range(n)):  # elements still to place after this one
+        grown = [(g + (c,), max(used, c + 1)) for g, used in grown
+                 for c in range(min(used + 1, k)) if max(used, c + 1) + left >= k]
+    return [g for g, _ in grown]
 
 
-def _cartesian_edges(cells: dict, h1: Hypergraph, h2: Hypergraph, form) -> frozenset:
-    edges = set()
-    for x in h1.vertices:
-        row = cells[x]
-        for f in h2.edges:
-            edges.add(form(map(row.__getitem__, f)))
-    for e in h1.edges:
-        rows = [cells[x] for x in e]
-        for y in h2.vertices:
-            edges.add(form(row[y] for row in rows))
-    return frozenset(edges)
+def _surjections(a: int, b: int) -> Iterable[tuple]:
+    """Graphs of surjections from the larger side of the a x b grid onto the
+    smaller: a partition of the larger side into m blocks, then one of the
+    m! ways to send the blocks onto the smaller side."""
+    m = min(a, b)
+    sends = list(itertools.permutations(range(m)))
+    bases = [i * b for i in range(a)]
+    edges = []
+    for g in _set_partitions(max(a, b), m):
+        if a >= b:  # row i goes to column s[g[i]]
+            edges += [tuple(map(operator.add, bases, map(s.__getitem__, g))) for s in sends]
+        else:  # row k takes the columns of block s[k], ascending
+            blocks = [[j for j, t in enumerate(g) if t == c] for c in range(m)]
+            runs = [[tuple(map((k * b).__add__, block)) for block in blocks] for k in range(m)]
+            edges += [sum(map(list.__getitem__, runs, s), ()) for s in sends]
+    return edges
 
 
-def _grid(cells: dict, e1: Edge, e2: Edge) -> list[list]:
-    """The cells of e1 x e2, rows over the larger edge and columns over the
-    smaller one.  Row order does not matter: edges are sets or sorted
-    tuples."""
-    rows = [cells[x] for x in e1]
-    if len(e1) >= len(e2):
-        return [[row[y] for y in e2] for row in rows]
-    return [[row[y] for row in rows] for y in e2]
+def _choices(a: int, b: int) -> Iterable[tuple]:
+    """dirnon edges of a single pair: a cell (i, j) together with every cell
+    in neither row i nor column j."""
+    cells = list(itertools.product(range(a), range(b)))
+    # Only a 2 x 2 grid makes an edge twice: (0, 0) and (1, 1) give one edge.
+    return dict.fromkeys(tuple(p for p, (r, c) in enumerate(cells) if (r == i) == (c == j)) for i, j in cells)
 
 
-def _injection_edges(cells: dict, e1: Edge, e2: Edge, form) -> Iterator:
-    """Graphs of injections from the smaller of (e1, e2) into the larger,
-    as subsets of e1 x e2.  Equal sizes give the bijection graphs once."""
-    grid = _grid(cells, e1, e2)
-    cols = range(min(len(e1), len(e2)))
-    for rows in itertools.permutations(grid, len(cols)):
-        yield form(map(list.__getitem__, rows, cols))
+@functools.cache
+def _patterns(build, a: int, b: int) -> tuple[tuple, ...]:
+    """The table of `build` on the a x b grid: its edges as sorted tuples of
+    positions i*b + j, each once."""
+    return tuple(build(a, b))
 
 
-def _surjection_edges(cells: dict, e1: Edge, e2: Edge, form) -> Iterator:
-    """Graphs of surjections from the larger of (e1, e2) onto the smaller,
-    as subsets of e1 x e2."""
-    grid = _grid(cells, e1, e2)
-    nsmall = min(len(e1), len(e2))
-    for cols in itertools.product(range(nsmall), repeat=len(grid)):
-        if len(set(cols)) == nsmall:
-            yield form(map(list.__getitem__, grid, cols))
+def _mapped(table: tuple, flat: list, form) -> Iterator:
+    """The table's edges, each position p read as flat[p], made by `form`."""
+    if not table or not table[0]:  # no edge, or the one empty edge
+        return map(form, table)
+    cells = map(flat.__getitem__, itertools.chain.from_iterable(table))
+    return map(form, zip(*[cells] * len(table[0])))  # a table's edges share a size
 
 
-def _choice_edges(cells: dict, e1: Edge, e2: Edge, form) -> Iterator:
-    """dirnon edges of a single pair: one edge per choice of x in e1, y in e2."""
-    grid = _grid(cells, e1, e2)
-    for r, row in enumerate(grid):
-        others = grid[:r] + grid[r + 1 :]
-        for c, cell in enumerate(row):
-            yield form({cell}.union(*(o[:c] + o[c + 1 :] for o in others)))
-
-
-# kind -> (its pair generator or None, with cartesian edges)
+# kind -> (its table builder or None, with cartesian edges)
 _PARTS = {
     ProductKind.CARTESIAN: (None, True),
-    ProductKind.DIRMIN: (_injection_edges, False),
-    ProductKind.DIRMAX: (_surjection_edges, False),
-    ProductKind.DIRNON: (_choice_edges, False),
-    ProductKind.NORMAL: (_injection_edges, True),
-    ProductKind.STRONG: (_surjection_edges, True),
+    ProductKind.DIRMIN: (_injections, False),
+    ProductKind.DIRMAX: (_surjections, False),
+    ProductKind.DIRNON: (_choices, False),
+    ProductKind.NORMAL: (_injections, True),
+    ProductKind.STRONG: (_surjections, True),
 }
 
 
-def _edges(kind: ProductKind, cells: dict, h1: Hypergraph, h2: Hypergraph, form) -> frozenset:
-    """The product's edge set: its direct part, united with the cartesian
-    edges for cartesian, normal and strong."""
-    generate, with_cartesian = _PARTS[kind]
-    if generate is None:
-        return _cartesian_edges(cells, h1, h2, form)
+def _edges(kind: ProductKind, cells: dict, v1, es1, v2, es2, form) -> frozenset:
+    """The edge set of the product of (v1, es1) and (v2, es2): its direct
+    part, united with the cartesian edges for cartesian, normal and strong.
+    `form` makes one edge from its cells, in the order the edges list them."""
+    build, with_cartesian = _PARTS[kind]
     edges = set()
-    for e1 in h1.edges:
-        for e2 in h2.edges:
-            edges.update(generate(cells, e1, e2, form))
-    edges = frozenset(edges)
     if with_cartesian:
-        edges = _cartesian_edges(cells, h1, h2, form) | edges
-    return edges
+        for x in v1:
+            row = cells[x]
+            edges.update(form(map(row.__getitem__, f)) for f in es2)
+        for e in es1:
+            rows = [cells[x] for x in e]
+            edges.update(form(row[y] for row in rows) for y in v2)
+    if build is not None:
+        for e in es1:
+            rows = [cells[x] for x in e]
+            for f in es2:
+                flat = [row[y] for row in rows for y in f]
+                edges.update(_mapped(_patterns(build, len(e), len(f)), flat, form))
+    return frozenset(edges)
 
 
 def edge_pair_product(e1: Edge, e2: Edge, kind: ProductKind) -> set:
@@ -170,15 +190,14 @@ def edge_pair_product(e1: Edge, e2: Edge, kind: ProductKind) -> set:
         raise ValueError(f"kind {kind.value} has no single-pair edge set")
     if not e1 or not e2:
         raise ValueError("factor edges must be non-empty")
-    generate, _ = _PARTS[kind]
-    return set(generate(_cells(e1, e2), e1, e2, frozenset))
+    return set(_edges(kind, _cells(e1, e2), (), [e1], (), [e2], frozenset))
 
 
 def product(kind: ProductKind, h1: Hypergraph, h2: Hypergraph) -> Hypergraph:
     """The product of `kind` (a ProductKind or its name).  The vertex set
     and every edge take their pairs from one table."""
-    cells = _product_cells(h1, h2)
-    return Hypergraph(_vertex_set(cells, h1, h2), _edges(ProductKind(kind), cells, h1, h2, frozenset))
+    cells, vertices = _product_cells(h1, h2)
+    return Hypergraph(vertices, _edges(ProductKind(kind), cells, h1.vertices, h1.edges, h2.vertices, h2.edges, frozenset))
 
 
 def cartesian(h1: Hypergraph, h2: Hypergraph) -> Hypergraph:
@@ -211,11 +230,14 @@ def ranked_product(kind: ProductKind, h1: Hypergraph, h2: Hypergraph) -> tuple[l
     xs and ys are the factors' labels (edge members included) in label
     order; rank i*len(ys) + j stands for Pair(xs[i], ys[j]), so ranks follow
     the label order of the pairs.  `vertices` lists the ranks of V1 x V2 in
-    ascending order and each edge is a sorted tuple of ranks.
+    ascending order and each edge is an ascending tuple of ranks.
     """
     xs = sorted(h1.vertices.union(*h1.edges), key=label_key)
     ys = sorted(h2.vertices.union(*h2.edges), key=label_key)
     n = len(ys)
-    cells = {x: {y: i * n + j for j, y in enumerate(ys)} for i, x in enumerate(xs)}
+    rank1, rank2 = dict(zip(xs, itertools.count())), dict(zip(ys, itertools.count()))
+    cells = {x: {y: i * n + j for y, j in rank2.items()} for x, i in rank1.items()}
     vertices = [cells[x][y] for x in xs if x in h1.vertices for y in ys if y in h2.vertices]
-    return xs, ys, vertices, _edges(ProductKind(kind), cells, h1, h2, _rank_tuple)
+    es1 = [sorted(e, key=rank1.__getitem__) for e in h1.edges]
+    es2 = [sorted(f, key=rank2.__getitem__) for f in h2.edges]
+    return xs, ys, vertices, _edges(ProductKind(kind), cells, h1.vertices, es1, h2.vertices, es2, tuple)

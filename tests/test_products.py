@@ -1,10 +1,13 @@
 import itertools
+import math
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
 import strategies as stg
-from oracles import subset_scan_direct
+from oracles import count_partitions, subset_scan_direct
+from hgprod import products
 from hgprod import (
     DIRECT_KINDS,
     Atom,
@@ -21,6 +24,7 @@ from hgprod import (
     normal,
     product,
     product_vertices,
+    sorted_members,
     strong,
     validate,
 )
@@ -335,3 +339,64 @@ def test_pair_product_edges_all_satisfy_defining_predicate():
             assert len(edge) == lo
             assert len({p.left for p in edge}) == lo
             assert len({p.right for p in edge}) == lo
+
+
+# ---------------------------------------------------------------- pair tables
+
+def single_edge(prefix, size):
+    """One edge of `size` fresh atoms, and the hypergraph made of it."""
+    e = frozenset(Atom(f"{prefix}{i}") for i in range(size))
+    return e, hypergraph(e, [e])
+
+
+@pytest.mark.parametrize("a,b", list(itertools.product(range(1, 6), repeat=2)))
+def test_pair_edges_match_the_oracles_up_to_size_5(a, b):
+    """Every direct kind's edges for one a-edge against one b-edge, checked
+    against the subset scan and dirnon's definition, with their counts."""
+    (e1, h1), (e2, h2) = single_edge("u", a), single_edge("w", b)
+    lo, hi = min(a, b), max(a, b)
+    injections = edge_pair_product(e1, e2, ProductKind.DIRMIN)
+    assert injections == set(subset_scan_direct("dirmin", h1, h2).edges)
+    assert len(injections) == math.perm(hi, lo)
+    surjections = edge_pair_product(e1, e2, ProductKind.DIRMAX)
+    assert surjections == set(subset_scan_direct("dirmax", h1, h2).edges)
+    assert len(surjections) == math.factorial(lo) * count_partitions(hi, lo)
+    choices = edge_pair_product(e1, e2, ProductKind.DIRNON)
+    assert choices == brute_dirnon(h1, h2)
+    assert len(choices) <= a * b
+
+
+@pytest.mark.parametrize("a,b", [(8, 6), (6, 8)])
+def test_eight_onto_six_has_191520_surjection_graphs(a, b):
+    (_, h1), (_, h2) = single_edge("u", a), single_edge("w", b)
+    try:
+        assert len(products.ranked_product(ProductKind.DIRMAX, h1, h2)[3]) == 191_520
+    finally:
+        products._patterns.cache_clear()  # the table holds about 20 MB
+
+
+@st.composite
+def unvalidated_hypergraphs(draw):
+    """Factors whose edges may hold members outside the vertex set."""
+    verts = draw(st.lists(stg.any_labels, max_size=4, unique=True))
+    strays = draw(st.lists(stg.any_labels, min_size=1, max_size=3, unique=True))
+    member = st.sampled_from(verts + strays)
+    return hypergraph(verts, draw(st.lists(st.frozensets(member, min_size=1, max_size=4), max_size=3)))
+
+
+ranked_factors = st.one_of(
+    stg.hypergraphs(max_vertices=4, max_edges=3, labels=stg.any_labels), unvalidated_hypergraphs()
+)
+
+
+@given(ranked_factors, ranked_factors)
+def test_ranked_edges_ascend_and_are_the_rank_images_of_product_edges(h1, h2):
+    """Each factor edge enters in rank order, so every ranked edge comes out
+    strictly ascending, with no sort: it is the labelled edge's rank image."""
+    for kind in ProductKind:
+        xs, ys, vertices, edges = products.ranked_product(kind, h1, h2)
+        rank = {Pair(x, y): i * len(ys) + j for i, x in enumerate(xs) for j, y in enumerate(ys)}
+        labelled = product(kind, h1, h2)
+        assert vertices == sorted(rank[v] for v in labelled.vertices)
+        assert all(r < s for e in edges for r, s in zip(e, e[1:]))
+        assert edges == {tuple(rank[m] for m in sorted_members(e)) for e in labelled.edges}
