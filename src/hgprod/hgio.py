@@ -17,9 +17,12 @@ as tuples (then stably by length) is the canonical edge order.  Label work
 is done once per distinct vertex, not once per edge membership: a label
 has exactly one token, so parsing looks each edge token up in the
 ``vertices:`` line, and serializing formats each label once.  `_parse` can
-stop at ranks and `_emit` writes text from ranks, so ``hgprod fmt`` builds
-labels only to order the declared vertices, and ``hgprod product`` builds
-none for the product.
+stop at ranks and `_emit` writes text from ranks, so ``hgprod product``
+builds no label for the product, and ``hgprod fmt`` none at all: it orders
+the declared vertices by their label_key tuples, parsed straight from the
+tokens.  Edges keep the order they come in, each once, so canonical text
+and ranked products reach `_emit` as ascending runs, which its sorts merge
+in about linear time.
 """
 
 from __future__ import annotations
@@ -57,31 +60,35 @@ def _quote(text: str) -> str:
 def parse_label(text: str) -> Label:
     """Parse a single label token (atom or nested pair) of at most
     _MAX_LABEL_PAIRS pairs."""
+    return _parse_label(text, Atom, Pair)
+
+
+def _parse_label(text: str, atom, pair):
     if text.count("(") > _MAX_LABEL_PAIRS:
         raise ValueError(f"label has more than {_MAX_LABEL_PAIRS} pairs")
-    value, pos = _parse_label_at(text, 0)
+    value, pos = _parse_label_at(text, 0, atom, pair)
     if pos != len(text):
         raise ValueError(f"trailing input after label: {_quote(text[pos:])}")
     return value
 
 
-def _parse_label_at(text: str, pos: int) -> tuple[Label, int]:
+def _parse_label_at(text: str, pos: int, atom, pair) -> tuple:
     if pos >= len(text):
         raise ValueError("empty label")
     if text[pos] == "(":
-        left, pos = _parse_label_at(text, pos + 1)
+        left, pos = _parse_label_at(text, pos + 1, atom, pair)
         if pos >= len(text) or text[pos] != ",":
             raise ValueError(f"expected ',' at offset {pos} in label")
-        right, pos = _parse_label_at(text, pos + 1)
+        right, pos = _parse_label_at(text, pos + 1, atom, pair)
         if pos >= len(text) or text[pos] != ")":
             raise ValueError(f"expected ')' at offset {pos} in label")
-        return Pair(left, right), pos + 1
+        return pair(left, right), pos + 1
     end = pos
     while end < len(text) and text[end] not in ",()" and not text[end].isspace():
         end += 1
     if end == pos:
         raise ValueError(f"empty atom at offset {pos} in label")
-    return Atom(text[pos:end]), end
+    return atom(text[pos:end]), end
 
 
 def parse_hg(text: str) -> Hypergraph:
@@ -100,35 +107,36 @@ def _rank_edge(ranks) -> tuple:
 def _parse(text: str, ranked: bool):
     """Parse .hg text into a Hypergraph or, when `ranked`, into the
     arguments of `_emit`: the vertex tokens in label order, their ranks and
-    the edges as sorted rank tuples."""
+    the edges as sorted rank tuples, each once, in file order."""
     lookup: dict | None = None
     form = _rank_edge if ranked else frozenset
-    edges: set = set()
+    # The rank path only sorts the vertex tokens, so it builds their label_key.
+    makers = (lambda name: (0, name), lambda left, right: (1, left, right)) if ranked else (Atom, Pair)
+    edges: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        keyword, _, rest = line.partition(":")
+        keyword, _, rest = raw.partition(":")
         keyword = keyword.strip()
-        if keyword == "vertices":
-            if lookup is not None:
-                raise HgParseError("duplicate vertices line", lineno)
-            lookup = {token: _parse_token(token, lineno) for token in rest.split()}
-            if ranked:
-                names = sorted(lookup, key=lambda token: label_key(lookup[token]))
-                lookup = {token: r for r, token in enumerate(names)}
-        elif keyword == "edge":
-            if lookup is None:
-                raise HgParseError("edge before vertices line", lineno)
+        if keyword == "edge" and lookup is not None:  # the commonest line, tested first
             tokens = rest.split()
             if not tokens:
                 raise HgParseError("edge with no members", lineno)
             try:
-                edges.add(form(map(lookup.__getitem__, tokens)))
+                edges[form(map(lookup.__getitem__, tokens))] = None
             except KeyError as exc:  # map stops at the first undeclared token
                 token = exc.args[0]
                 _parse_token(token, lineno)  # a malformed token is a bad label
                 raise HgParseError(f"unknown vertex {_quote(token)} in edge", lineno) from None
+        elif not (line := raw.strip()) or line.startswith("#"):
+            continue
+        elif keyword == "vertices":
+            if lookup is not None:
+                raise HgParseError("duplicate vertices line", lineno)
+            lookup = {token: _parse_token(token, lineno, *makers) for token in rest.split()}
+            if ranked:
+                names = sorted(lookup, key=lookup.__getitem__)
+                lookup = {token: r for r, token in enumerate(names)}
+        elif keyword == "edge":
+            raise HgParseError("edge before vertices line", lineno)
         else:
             raise HgParseError(f"expected 'vertices:' or 'edge:', got {_quote(line)}", lineno)
     if lookup is None:
@@ -138,11 +146,11 @@ def _parse(text: str, ranked: bool):
     return Hypergraph(frozenset(lookup.values()), frozenset(edges))
 
 
-def _parse_token(token: str, lineno: int) -> Label:
+def _parse_token(token: str, lineno: int, atom=Atom, pair=Pair):
     if "(" not in token and ")" not in token and "," not in token:
-        return Atom(token)  # split() tokens are non-empty and free of whitespace
+        return atom(token)  # split() tokens are non-empty and free of whitespace
     try:
-        return parse_label(token)
+        return _parse_label(token, atom, pair)
     except ValueError as exc:
         raise HgParseError(f"bad label {_quote(token)}: {exc}", lineno) from exc
 

@@ -25,10 +25,11 @@ and the six named constructors call `product`.
 Up to relabelling, the edges a pair (e1, e2) adds to a direct kind depend
 only on |e1| and |e2|.  So each kind builds one position table per size
 pair (a, b), once per process: its edges on the a x b grid as sorted tuples
-of positions i*b + j.  A product call lists the pair's cells in that order,
-``flat = [cells[x][y] for x in e1 for y in e2]``, and maps each table entry
-through it.  dirmax tables come from ordered set partitions, m!*S(M, m) of
-them, with no filter over all m**M maps.
+of positions i*b + j, the table itself in ascending order.  A product call
+lists the pair's cells in that order, ``flat = [cells[x][y] for x in e1
+for y in e2]``, and maps each table entry through it.  dirmax tables come
+from ordered set partitions, m!*S(M, m) of them, with no filter over all
+m**M maps.
 
 Each product call builds one Pair per product vertex, in a table
 ``cells[x][y]``; the vertex set and every edge take their pairs from it.
@@ -40,7 +41,9 @@ the tables through integer ranks instead: ``cells[x][y]`` is i*|Y| + j,
 with x the i-th and y the j-th factor label in label order.  Each factor
 edge lists its members in rank order, so ``flat`` is ascending and every
 edge comes out as an ascending tuple of ranks, in the product's label
-order; no Pair is built, hashed or sorted.
+order; no Pair is built, hashed or sorted.  Tables are ascending, so each
+edge pair's edges come out sorted too, and a dict, not a set, drops the
+repeats in that order.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ import functools
 import itertools
 import operator
 from enum import Enum
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, KeysView
 
 from .core import Edge, Hypergraph, Pair, label_key
 
@@ -134,8 +137,8 @@ def _choices(a: int, b: int) -> Iterable[tuple]:
 @functools.cache
 def _patterns(build, a: int, b: int) -> tuple[tuple, ...]:
     """The table of `build` on the a x b grid: its edges as sorted tuples of
-    positions i*b + j, each once."""
-    return tuple(build(a, b))
+    positions i*b + j, each once, in ascending order."""
+    return tuple(sorted(build(a, b)))
 
 
 def _mapped(table: tuple, flat: list, form) -> Iterator:
@@ -157,26 +160,25 @@ _PARTS = {
 }
 
 
-def _edges(kind: ProductKind, cells: dict, v1, es1, v2, es2, form) -> frozenset:
-    """The edge set of the product of (v1, es1) and (v2, es2): its direct
-    part, united with the cartesian edges for cartesian, normal and strong.
-    `form` makes one edge from its cells, in the order the edges list them."""
+def _edges(kind: ProductKind, cells: dict, v1, es1, v2, es2, form) -> Iterator:
+    """The edges of the product of (v1, es1) and (v2, es2), as a stream
+    that may repeat an edge: the cartesian edges for cartesian, normal and
+    strong, then the direct part, one edge pair after another.  `form`
+    makes one edge from its cells, in the order the edges list them."""
     build, with_cartesian = _PARTS[kind]
-    edges = set()
     if with_cartesian:
         for x in v1:
             row = cells[x]
-            edges.update(form(map(row.__getitem__, f)) for f in es2)
+            yield from [form(map(row.__getitem__, f)) for f in es2]
         for e in es1:
             rows = [cells[x] for x in e]
-            edges.update(form(row[y] for row in rows) for y in v2)
+            yield from [form(row[y] for row in rows) for y in v2]
     if build is not None:
         for e in es1:
             rows = [cells[x] for x in e]
             for f in es2:
                 flat = [row[y] for row in rows for y in f]
-                edges.update(_mapped(_patterns(build, len(e), len(f)), flat, form))
-    return frozenset(edges)
+                yield from _mapped(_patterns(build, len(e), len(f)), flat, form)
 
 
 def edge_pair_product(e1: Edge, e2: Edge, kind: ProductKind) -> set:
@@ -197,7 +199,8 @@ def product(kind: ProductKind, h1: Hypergraph, h2: Hypergraph) -> Hypergraph:
     """The product of `kind` (a ProductKind or its name).  The vertex set
     and every edge take their pairs from one table."""
     cells, vertices = _product_cells(h1, h2)
-    return Hypergraph(vertices, _edges(ProductKind(kind), cells, h1.vertices, h1.edges, h2.vertices, h2.edges, frozenset))
+    edges = _edges(ProductKind(kind), cells, h1.vertices, h1.edges, h2.vertices, h2.edges, frozenset)
+    return Hypergraph(vertices, frozenset(edges))
 
 
 def cartesian(h1: Hypergraph, h2: Hypergraph) -> Hypergraph:
@@ -224,13 +227,14 @@ def strong(h1: Hypergraph, h2: Hypergraph) -> Hypergraph:
     return product(ProductKind.STRONG, h1, h2)
 
 
-def ranked_product(kind: ProductKind, h1: Hypergraph, h2: Hypergraph) -> tuple[list, list, list, frozenset]:
+def ranked_product(kind: ProductKind, h1: Hypergraph, h2: Hypergraph) -> tuple[list, list, list, KeysView]:
     """The product on integer ranks: (xs, ys, vertices, edges).
 
     xs and ys are the factors' labels (edge members included) in label
     order; rank i*len(ys) + j stands for Pair(xs[i], ys[j]), so ranks follow
     the label order of the pairs.  `vertices` lists the ranks of V1 x V2 in
-    ascending order and each edge is an ascending tuple of ranks.
+    ascending order and each edge is an ascending tuple of ranks.  `edges`
+    holds each edge once, in the order first made, and equals their set.
     """
     xs = sorted(h1.vertices.union(*h1.edges), key=label_key)
     ys = sorted(h2.vertices.union(*h2.edges), key=label_key)
@@ -240,4 +244,5 @@ def ranked_product(kind: ProductKind, h1: Hypergraph, h2: Hypergraph) -> tuple[l
     vertices = [cells[x][y] for x in xs if x in h1.vertices for y in ys if y in h2.vertices]
     es1 = [sorted(e, key=rank1.__getitem__) for e in h1.edges]
     es2 = [sorted(f, key=rank2.__getitem__) for f in h2.edges]
-    return xs, ys, vertices, _edges(ProductKind(kind), cells, h1.vertices, es1, h2.vertices, es2, tuple)
+    edges = _edges(ProductKind(kind), cells, h1.vertices, es1, h2.vertices, es2, tuple)
+    return xs, ys, vertices, dict.fromkeys(edges).keys()

@@ -17,6 +17,8 @@ import hgprod.products
 import strategies as stg
 from hgprod import (
     Atom,
+    HgParseError,
+    Pair,
     ProductKind,
     apply_mapping,
     cartesian,
@@ -630,6 +632,54 @@ def test_parse_errors_exit_2_with_line_number(run, files):
     code, out, err = run("fmt", bad)
     assert code == 2 and out == ""
     assert "line 2" in err and "unknown vertex" in err
+
+
+# Comment, blank and keyword lines around and before the vertices line.  The
+# parse loop tests for edge lines before the other checks, so the expected
+# text, messages and line numbers are literals that pin the checks' order.
+@pytest.mark.parametrize("text, canon, error", [
+    ("# edge: a\n#vertices: a\nvertices: b a\nedge: a b\n", "vertices: a b\nedge: a b\n", None),
+    ("vertices: a b c\n  edge :\ta b\n\tedge:c b  \n", "vertices: a b c\nedge: a b\nedge: b c\n", None),
+    ("vertices: a b\n:\nedge: a b\n", None, (2, "expected 'vertices:' or 'edge:', got ':'")),
+    (":\nvertices: a\n", None, (1, "expected 'vertices:' or 'edge:', got ':'")),
+    ("vertices: a b\n \t \nedge: b a\n", "vertices: a b\nedge: a b\n", None),
+    ("vertices: b a\r\nedge: a b\r\n\r\nedge: b\r\n", "vertices: a b\nedge: b\nedge: a b\n", None),
+    ("edge: a b\nvertices: a b\n", None, (1, "edge before vertices line")),
+    ("  \n# c\n edge : a\nvertices: a\n", None, (3, "edge before vertices line")),
+    ("vertices: a\n  edge :  \n", None, (2, "edge with no members")),
+], ids=["commented keywords", "padded keyword", "bare colon", "bare colon first", "whitespace line",
+        "crlf", "edge first", "padded edge first", "padded empty edge"])
+def test_parse_hg_and_fmt_agree_on_keyword_and_blank_lines(run, files, text, canon, error):
+    path = files("case.hg", text)
+    if error is None:
+        assert serialize_hg(parse_hg(text)) == canon
+        assert run("fmt", path) == (0, canon, "")
+        return
+    line, message = error
+    with pytest.raises(HgParseError) as err:
+        parse_hg(text)
+    assert (str(err.value), err.value.line) == (f"line {line}: {message}", line)
+    assert run("fmt", path) == (2, "", f"error: {path}: line {line}: {message}\n")
+
+
+def test_fmt_builds_no_label(run, files, monkeypatch):
+    g = files("g.hg", "vertices: (a,b) c ((d,e),f)\nedge: (a,b) c\nedge: ((d,e),f)\n")
+    h = files("h.hg", "vertices: x (y,(z,w)) v\nedge: x (y,(z,w)) v\n")
+    product_file = os.path.join(os.path.dirname(g), "strong.hg")
+    assert run("product", "--kind", "strong", g, h, "-o", product_file) == (0, "", "")
+    with open(product_file, encoding="utf-8") as f:
+        canon = f.read()
+    vertices, *edges = canon.splitlines()
+    messy = files("messy.hg", "\n".join(["vertices: " + " ".join(reversed(vertices.split()[1:])), *reversed(edges)]))
+    assert len(edges) > 10 and canon.count("((") > 10
+
+    def refuse(self):
+        raise AssertionError("fmt built a label")
+
+    monkeypatch.setattr(Atom, "__post_init__", refuse)
+    monkeypatch.setattr(Pair, "__post_init__", refuse)
+    assert run("fmt", product_file) == (0, canon, "")
+    assert run("fmt", messy) == (0, canon, "")
 
 
 def _nested(depth: int) -> str:

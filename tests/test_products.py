@@ -375,6 +375,27 @@ def test_eight_onto_six_has_191520_surjection_graphs(a, b):
         products._patterns.cache_clear()  # the table holds about 20 MB
 
 
+def test_tables_ascend_so_one_edge_pair_gives_sorted_ranked_edges():
+    """The canonical edge sort before writing merges ascending runs: every
+    table is strictly ascending, one factor-edge pair's ranked edges come
+    out sorted, and repeats are dropped, not kept in the run."""
+    for build in {build for build, _ in products._PARTS.values() if build is not None}:
+        for a, b in itertools.product(range(1, 6), repeat=2):
+            table = products._patterns(build, a, b)
+            assert all(s < t for s, t in zip(table, table[1:])), (build.__name__, a, b)
+    for kind in sorted(DIRECT_KINDS):
+        for a, b in [(2, 2), (3, 5), (4, 7), (5, 3)]:
+            (_, h1), (_, h2) = single_edge("u", a), single_edge("w", b)
+            edges = list(products.ranked_product(kind, h1, h2)[3])
+            assert edges == sorted(edges), (kind, a, b)
+    # The singleton's direct edge e4 x {c} is also a cartesian edge.
+    _, h4 = single_edge("a", 4)
+    e7 = frozenset(atoms("b1 b2 b3 b4 b5 b6 b7"))
+    h7 = hypergraph(e7 | {Atom("c")}, [e7, frozenset({Atom("c")})])
+    edges = list(products.ranked_product(ProductKind.STRONG, h4, h7)[3])
+    assert len(edges) == len(set(edges)) == 4 * 2 + 1 * 8 + 8400 == len(strong(h4, h7).edges)
+
+
 @st.composite
 def unvalidated_hypergraphs(draw):
     """Factors whose edges may hold members outside the vertex set."""
