@@ -31,7 +31,7 @@ from .core import (
     rank,
     sorted_members,
 )
-from .iso import are_isomorphic, regroup_left_to_right, regroup_right_to_left, swap_map
+from .iso import are_isomorphic, regroup_right_to_left, swap_map
 from .products import ProductKind, dirmax, dirnon, product, strong
 
 ASSOCIATIVE_KINDS = frozenset(
@@ -98,27 +98,27 @@ class LawReport:
             raise ValueError("map verdict true contradicts non-isomorphism")
 
 
-def _mismatch(left, right, forward, backward) -> Edge | None:
+def _mismatch(left, right, forward) -> Edge | None:
     """None when the label map forward carries the left edge set exactly
     onto the right one; otherwise the smallest edge, by canonical order,
-    whose image is missing from the other side (backward maps the right
-    side back), taken from the left side when it has one."""
-    if frozenset(frozenset(forward(v) for v in e) for e in left) == right:
+    whose image is missing from the other side, taken from the left side
+    when it has one.  forward is a bijection on product labels, so a right
+    edge is missing from the left exactly when it is no left edge's image."""
+    if (image := frozenset(frozenset(forward(v) for v in e) for e in left)) == right:
         return None
     missing = [e for e in left if frozenset(forward(v) for v in e) not in right]
     if missing:
         return min(missing, key=edge_key)
-    return min((f for f in right if frozenset(backward(v) for v in f) not in left), key=edge_key)
+    return min(right - image, key=edge_key)
 
 
 def _audit(
-    kind: ProductKind, law: str, left: Hypergraph, right: Hypergraph, forward, backward,
+    kind: ProductKind, law: str, left: Hypergraph, right: Hypergraph, forward,
     factors: tuple[Hypergraph, ...], full_iso: bool = False, iso_bound: int = 12,
 ) -> LawReport:
-    """Compare two products through the label map `forward` (and
-    `backward` for a witness from the right side), optionally run the full
-    isomorphism search, and report."""
-    witness = _mismatch(left.edges, right.edges, forward, backward)
+    """Compare two products through the label map `forward`, optionally
+    run the full isomorphism search, and report."""
+    witness = _mismatch(left.edges, right.edges, forward)
     exists: bool | None = None
     if full_iso:
         if witness is None:
@@ -155,8 +155,7 @@ def check_associativity(
     left = product(kind, a, product(kind, b, c))
     right = product(kind, product(kind, a, b), c)
     return _audit(
-        kind, "associativity", left, right, regroup_right_to_left, regroup_left_to_right,
-        (a, b, c), full_iso, iso_bound,
+        kind, "associativity", left, right, regroup_right_to_left, (a, b, c), full_iso, iso_bound,
     )
 
 
@@ -165,7 +164,7 @@ def check_commutativity(kind: ProductKind, a: Hypergraph, b: Hypergraph) -> LawR
     kind = ProductKind(kind)
     left = product(kind, a, b)
     right = product(kind, b, a)
-    return _audit(kind, "commutativity", left, right, swap_map, swap_map, (a, b))
+    return _audit(kind, "commutativity", left, right, swap_map, (a, b))
 
 
 def check_lemma1(
@@ -187,10 +186,7 @@ def check_lemma1(
             raise PreconditionError(f"rank of first factor is {rank(g)}, need exactly 2")
         if rank(h) > 3:
             raise PreconditionError(f"rank of second factor is {rank(h)}, need at most 3")
-    identity = lambda v: v
-    return _audit(
-        ProductKind.DIRMAX, "lemma1", dirmax(g, h), dirnon(g, h), identity, identity, (g, h)
-    )
+    return _audit(ProductKind.DIRMAX, "lemma1", dirmax(g, h), dirnon(g, h), lambda v: v, (g, h))
 
 
 @dataclass(frozen=True)
@@ -416,6 +412,15 @@ def _failure_rank(failure: TrialFailure) -> tuple:
     return (total_vertices, total_edges, failure.trial)
 
 
+def _failures(outcomes) -> tuple[TrialFailure, ...]:
+    """The failed trials, taken from the outcomes as they arrive."""
+    return tuple(
+        TrialFailure(trial, seeds, report)
+        for trial, seeds, report in outcomes
+        if not report.psi_is_isomorphism
+    )
+
+
 def fuzz_law(
     kind: ProductKind,
     law: str,
@@ -431,20 +436,15 @@ def fuzz_law(
     edges.
     """
     kind = ProductKind(kind)
-    tasks = [(kind, law, cfg, t) for t in range(trials)]
+    tasks = ((kind, law, cfg, t) for t in range(trials))
     # A process pool starts all its workers at the first submit: bound them first.
     jobs = min(jobs, os.cpu_count() or 1, trials)
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # multiprocessing: not on serial runs
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_run_trial, tasks, chunksize=max(1, trials // (4 * jobs))))
+            failures = _failures(pool.map(_run_trial, tasks, chunksize=max(1, trials // (4 * jobs))))
     else:
-        outcomes = [_run_trial(task) for task in tasks]
-    failures = tuple(
-        TrialFailure(trial, seeds, report)
-        for trial, seeds, report in outcomes
-        if not report.psi_is_isomorphism
-    )
+        failures = _failures(map(_run_trial, tasks))
     minimal = min(failures, key=_failure_rank) if failures else None
     return FuzzReport(kind, law, cfg.seed, trials, failures, minimal)
 

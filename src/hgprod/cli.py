@@ -62,6 +62,9 @@ def _read(path: str, parse):
         raise InputError(f"{path}: {exc}") from exc
 
 
+_parse_ranked = functools.partial(_parse, ranked=True)
+
+
 def _load(path: str):
     hg = _read(path, parse_hg)
     problem = validate(hg)
@@ -105,11 +108,10 @@ def _any_int_digits():
 
 
 def _cmd_product(args) -> int:
-    h1 = _load(args.factors[0])
-    h2 = _load(args.factors[1])
-    xs, ys, vertices, edges = ranked_product(ProductKind(args.kind), h1, h2)
-    rights = [format_label(y) for y in ys]
-    names = [f"({a},{b})" for a in map(format_label, xs) for b in rights]
+    # The rank parse rejects what validate would: undeclared members, empty edges.
+    f1, f2 = (_read(path, _parse_ranked) for path in args.factors)
+    vertices, edges = ranked_product(ProductKind(args.kind), f1, f2)
+    names = [f"({a},{b})" for a in f1[0] for b in f2[0]]
     legend = ""
     if args.flatten:
         # Vertex k in rank order is renamed v{k}.  The new names sort as
@@ -259,7 +261,7 @@ def _cmd_fuzz(args) -> int:
 def _cmd_fmt(args) -> int:
     # Parsed edges are subsets of the declared vertices, so there is nothing
     # to validate.
-    sys.stdout.write(_emit(*_read(args.file, functools.partial(_parse, ranked=True))))
+    sys.stdout.write(_emit(*_read(args.file, _parse_ranked)))
     return EXIT_OK
 
 

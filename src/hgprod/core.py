@@ -163,6 +163,18 @@ def validate(hg: Hypergraph) -> str | None:
     return None
 
 
+def _ranked(hg: Hypergraph) -> tuple[list, list, list]:
+    """(order, vertices, edges): the labels, edge members included, in label
+    order, so that rank r stands for order[r]; the vertex ranks, ascending;
+    each edge as an ascending tuple of ranks.  ``hgio._parse(text,
+    ranked=True)`` gives the same triple, with tokens for labels."""
+    order = sorted(hg.vertices.union(*hg.edges), key=label_key)
+    rank = {v: r for r, v in enumerate(order)}
+    vertices = [r for r, v in enumerate(order) if v in hg.vertices]
+    edges = [tuple(sorted(map(rank.__getitem__, e))) for e in hg.edges]
+    return order, vertices, edges
+
+
 def rank(hg: Hypergraph) -> int:
     """Maximum edge cardinality; 0 for an edgeless hypergraph."""
     return max((len(e) for e in hg.edges), default=0)

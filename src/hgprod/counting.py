@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import Hypergraph
+from .core import Hypergraph, _ranked
 from .products import ProductKind, ranked_product
 
 
@@ -92,5 +92,5 @@ def verify_count(kind: ProductKind, h1: Hypergraph, h2: Hypergraph) -> CountRepo
     The enumeration runs on integer ranks: it counts the same edge set as
     `product` without building its labels."""
     formula = closed_form_count(kind, h1, h2)
-    enumerated = len(ranked_product(kind, h1, h2)[3])
+    enumerated = len(ranked_product(kind, _ranked(h1), _ranked(h2))[1])
     return CountReport(ProductKind(kind), formula, enumerated)

@@ -11,23 +11,22 @@ Serialization is canonical: vertices in label order, edges sorted by
 (size, member list), members sorted.  Parsing a serialization yields an
 equal hypergraph, and serialize . parse is the identity on canonical text.
 
-Both directions work on ranks: vertex r is the r-th label in label order,
-and an edge is the sorted tuple of its members' ranks, so sorting edges
-as tuples (then stably by length) is the canonical edge order.  Label work
-is done once per distinct vertex, not once per edge membership: a label
-has exactly one token, so parsing looks each edge token up in the
-``vertices:`` line, and serializing formats each label once.  `_parse` can
-stop at ranks and `_emit` writes text from ranks, so ``hgprod product``
-builds no label for the product, and ``hgprod fmt`` none at all: it orders
-the declared vertices by their label_key tuples, parsed straight from the
-tokens.  Edges keep the order they come in, each once, so canonical text
-and ranked products reach `_emit` as ascending runs, which its sorts merge
-in about linear time.
+Both directions work on rank triples (order, vertices, edges), the shape
+`core._ranked` gives: vertex r is the r-th label in label order, and an
+edge is the sorted tuple of its members' ranks, so sorting edges as tuples
+(then stably by length) is the canonical edge order.  A label has exactly
+one token, so parsing looks each edge token up in the ``vertices:`` line
+and serializing formats each label once.  `parse_hg` builds labels for the
+library; ``_parse(ranked=True)`` stops at the triple, ordering the tokens
+by label_key tuples parsed straight from them, so ``hgprod product`` and
+``hgprod fmt`` build no label at all.  Edges keep the order they come in,
+each once, so canonical text and ranked products reach `_emit` as
+ascending runs, which its sorts merge in about linear time.
 """
 
 from __future__ import annotations
 
-from .core import Atom, Hypergraph, Label, Pair, format_label, label_key
+from .core import Atom, Hypergraph, Label, Pair, _ranked, format_label
 
 # Error messages quote at most this many characters of a token or line.
 _QUOTE_CHARS = 40
@@ -168,11 +167,8 @@ def _emit(names: list[str], vertices, edges) -> str:
 
 
 def serialize_hg(hg: Hypergraph) -> str:
-    """Canonical .hg serialization (sorted vertices, edges and members)."""
-    # Edge members outside the vertex set are ranked too, so an unvalidated
-    # hypergraph still serializes, in edge_key order.
-    order = sorted(hg.vertices.union(*hg.edges), key=label_key)
-    rank = {v: r for r, v in enumerate(order)}
-    vertices = [r for r, v in enumerate(order) if v in hg.vertices]
-    edges = [tuple(sorted(map(rank.__getitem__, e))) for e in hg.edges]
+    """Canonical .hg serialization (sorted vertices, edges and members).
+    Edge members outside the vertex set are ranked too, so an unvalidated
+    hypergraph still serializes, in edge_key order."""
+    order, vertices, edges = _ranked(hg)
     return _emit([format_label(v) for v in order], vertices, edges)

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .core import Hypergraph, Label, Pair, format_label, label_key, vertex_signatures
+from .core import Hypergraph, Label, Pair, _ranked, format_label, vertex_signatures
 
 
 class IsoBoundError(ValueError):
@@ -96,11 +96,11 @@ def are_isomorphic(h1: Hypergraph, h2: Hypergraph, max_vertices: int = 12) -> Is
 
     # One disjoint union: h1's vertices are 0..n-1 and h2's are n..2n-1,
     # each side in label order, so both sides share every colour table.
-    labels = sorted(h1.vertices, key=label_key) + sorted(h2.vertices, key=label_key)
-    index1 = {v: i for i, v in enumerate(labels[:n])}
-    index2 = {v: n + i for i, v in enumerate(labels[n:])}
-    edges1 = [tuple(index1[v] for v in e) for e in h1.edges]
-    edges = edges1 + [tuple(index2[v] for v in e) for e in h2.edges]
+    # The signature screen found every edge member among the vertices.
+    order1, _, edges1 = _ranked(h1)
+    order2, _, edges2 = _ranked(h2)
+    labels = order1 + order2
+    edges = edges1 + [tuple(map(n.__add__, e)) for e in edges2]
     targets = {frozenset(e) for e in edges[len(edges1):]}
     incident: list = [[] for _ in labels]
     for i, e in enumerate(edges):

@@ -31,19 +31,14 @@ for y in e2]``, and maps each table entry through it.  dirmax tables come
 from ordered set partitions, m!*S(M, m) of them, with no filter over all
 m**M maps.
 
-Each product call builds one Pair per product vertex, in a table
-``cells[x][y]``; the vertex set and every edge take their pairs from it.
-So a pair is built and hashed once, and set lookups on equal members stop
-at the identity check.
-
-`ranked_product`, for callers that only print or count the product, maps
-the tables through integer ranks instead: ``cells[x][y]`` is i*|Y| + j,
-with x the i-th and y the j-th factor label in label order.  Each factor
-edge lists its members in rank order, so ``flat`` is ascending and every
-edge comes out as an ascending tuple of ranks, in the product's label
-order; no Pair is built, hashed or sorted.  Tables are ascending, so each
-edge pair's edges come out sorted too, and a dict, not a set, drops the
-repeats in that order.
+Library products carry Pair labels: each call builds one Pair per product
+vertex, in a table ``cells[x][y]``, and the vertex set and every edge take
+their pairs from it.  `ranked_product`, for callers that only print or
+count the product, takes both factors as rank triples (`core._ranked`,
+``hgio._parse(ranked=True)``) and maps the same tables through integer
+cells, i*n + j for the ranks i and j; it sees no label at all.  Factor
+edges are ascending rank tuples, so every product edge comes out ascending
+and unsorted, each edge pair's edges in ascending order.
 """
 
 from __future__ import annotations
@@ -54,7 +49,7 @@ import operator
 from enum import Enum
 from typing import Iterable, Iterator, KeysView
 
-from .core import Edge, Hypergraph, Pair, label_key
+from .core import Edge, Hypergraph, Pair
 
 
 class ProductKind(str, Enum):
@@ -67,10 +62,6 @@ class ProductKind(str, Enum):
 
 
 DIRECT_KINDS = frozenset({ProductKind.DIRMIN, ProductKind.DIRMAX, ProductKind.DIRNON})
-
-
-def product_vertices(h1: Hypergraph, h2: Hypergraph) -> frozenset:
-    return frozenset(Pair(u, v) for u in h1.vertices for v in h2.vertices)
 
 
 def _cells(xs, ys) -> dict:
@@ -141,12 +132,12 @@ def _patterns(build, a: int, b: int) -> tuple[tuple, ...]:
     return tuple(sorted(build(a, b)))
 
 
-def _mapped(table: tuple, flat: list, form) -> Iterator:
-    """The table's edges, each position p read as flat[p], made by `form`."""
+def _mapped(table: tuple, flat: list) -> Iterator[tuple]:
+    """The table's edges as tuples of cells, each position p read as flat[p]."""
     if not table or not table[0]:  # no edge, or the one empty edge
-        return map(form, table)
+        return iter(table)
     cells = map(flat.__getitem__, itertools.chain.from_iterable(table))
-    return map(form, zip(*[cells] * len(table[0])))  # a table's edges share a size
+    return zip(*[cells] * len(table[0]))  # a table's edges share a size
 
 
 # kind -> (its table builder or None, with cartesian edges)
@@ -160,25 +151,26 @@ _PARTS = {
 }
 
 
-def _edges(kind: ProductKind, cells: dict, v1, es1, v2, es2, form) -> Iterator:
+def _edges(kind: ProductKind, cells, v1, es1, v2, es2) -> Iterator[Iterable]:
     """The edges of the product of (v1, es1) and (v2, es2), as a stream
     that may repeat an edge: the cartesian edges for cartesian, normal and
-    strong, then the direct part, one edge pair after another.  `form`
-    makes one edge from its cells, in the order the edges list them."""
+    strong, then the direct part, one edge pair after another.  Each edge
+    comes as an iterable of its cells, ``cells[x][y]``, in the order the
+    factor edges list them; the caller picks the container."""
     build, with_cartesian = _PARTS[kind]
     if with_cartesian:
         for x in v1:
-            row = cells[x]
-            yield from [form(map(row.__getitem__, f)) for f in es2]
+            get = cells[x].__getitem__
+            yield from (map(get, f) for f in es2)
         for e in es1:
             rows = [cells[x] for x in e]
-            yield from [form(row[y] for row in rows) for y in v2]
+            yield from (map(operator.itemgetter(y), rows) for y in v2)
     if build is not None:
         for e in es1:
             rows = [cells[x] for x in e]
             for f in es2:
                 flat = [row[y] for row in rows for y in f]
-                yield from _mapped(_patterns(build, len(e), len(f)), flat, form)
+                yield from _mapped(_patterns(build, len(e), len(f)), flat)
 
 
 def edge_pair_product(e1: Edge, e2: Edge, kind: ProductKind) -> set:
@@ -192,15 +184,15 @@ def edge_pair_product(e1: Edge, e2: Edge, kind: ProductKind) -> set:
         raise ValueError(f"kind {kind.value} has no single-pair edge set")
     if not e1 or not e2:
         raise ValueError("factor edges must be non-empty")
-    return set(_edges(kind, _cells(e1, e2), (), [e1], (), [e2], frozenset))
+    return set(map(frozenset, _edges(kind, _cells(e1, e2), (), [e1], (), [e2])))
 
 
 def product(kind: ProductKind, h1: Hypergraph, h2: Hypergraph) -> Hypergraph:
     """The product of `kind` (a ProductKind or its name).  The vertex set
     and every edge take their pairs from one table."""
     cells, vertices = _product_cells(h1, h2)
-    edges = _edges(ProductKind(kind), cells, h1.vertices, h1.edges, h2.vertices, h2.edges, frozenset)
-    return Hypergraph(vertices, frozenset(edges))
+    edges = _edges(ProductKind(kind), cells, h1.vertices, h1.edges, h2.vertices, h2.edges)
+    return Hypergraph(vertices, frozenset(map(frozenset, edges)))
 
 
 def cartesian(h1: Hypergraph, h2: Hypergraph) -> Hypergraph:
@@ -227,22 +219,19 @@ def strong(h1: Hypergraph, h2: Hypergraph) -> Hypergraph:
     return product(ProductKind.STRONG, h1, h2)
 
 
-def ranked_product(kind: ProductKind, h1: Hypergraph, h2: Hypergraph) -> tuple[list, list, list, KeysView]:
-    """The product on integer ranks: (xs, ys, vertices, edges).
+def ranked_product(kind: ProductKind, f1: tuple, f2: tuple) -> tuple[list, KeysView]:
+    """The product of two factors on integer ranks: (vertices, edges).
 
-    xs and ys are the factors' labels (edge members included) in label
-    order; rank i*len(ys) + j stands for Pair(xs[i], ys[j]), so ranks follow
-    the label order of the pairs.  `vertices` lists the ranks of V1 x V2 in
-    ascending order and each edge is an ascending tuple of ranks.  `edges`
-    holds each edge once, in the order first made, and equals their set.
+    Each factor is a triple (order, vertices, edges) as `core._ranked`
+    gives it.  Rank i*len(order2) + j stands for the pair of ranks i and j,
+    so ranks follow the label order of the pairs.  `vertices` lists the
+    ranks of V1 x V2 in ascending order and each edge is an ascending tuple
+    of ranks.  `edges` holds each edge once, in the order first made, and
+    equals their set.
     """
-    xs = sorted(h1.vertices.union(*h1.edges), key=label_key)
-    ys = sorted(h2.vertices.union(*h2.edges), key=label_key)
+    (xs, v1, es1), (ys, v2, es2) = f1, f2
     n = len(ys)
-    rank1, rank2 = dict(zip(xs, itertools.count())), dict(zip(ys, itertools.count()))
-    cells = {x: {y: i * n + j for y, j in rank2.items()} for x, i in rank1.items()}
-    vertices = [cells[x][y] for x in xs if x in h1.vertices for y in ys if y in h2.vertices]
-    es1 = [sorted(e, key=rank1.__getitem__) for e in h1.edges]
-    es2 = [sorted(f, key=rank2.__getitem__) for f in h2.edges]
-    edges = _edges(ProductKind(kind), cells, h1.vertices, es1, h2.vertices, es2, tuple)
-    return xs, ys, vertices, dict.fromkeys(edges).keys()
+    cells = [range(i * n, i * n + n) for i in range(len(xs))]
+    vertices = [i * n + j for i in v1 for j in v2]
+    edges = _edges(ProductKind(kind), cells, v1, es1, v2, es2)
+    return vertices, dict.fromkeys(map(tuple, edges)).keys()

@@ -9,7 +9,12 @@ agreement between the two is evidence and not a tautology.
 import itertools
 import math
 
-from hgprod import Atom, Hypergraph, Pair, product_vertices
+from hgprod import Atom, Hypergraph, Pair
+
+
+def grid(h1, h2):
+    """The product vertex set V1 x V2."""
+    return frozenset(Pair(u, v) for u in h1.vertices for v in h2.vertices)
 
 
 # --------------------------------------------------------------------------
@@ -40,7 +45,7 @@ def subset_scan_direct(kind, h1, h2):
                     ok = p1 == set(e1) and p2 == set(e2)
                 if ok:
                     edges.add(frozenset(Pair(u, v) for u, v in combo))
-    return Hypergraph(product_vertices(h1, h2), frozenset(edges))
+    return Hypergraph(grid(h1, h2), frozenset(edges))
 
 
 # --------------------------------------------------------------------------
@@ -71,7 +76,7 @@ def classical_graph_product(h1, h2, which):
         keep = {"cartesian": cart, "tensor": tens, "strong": cart or tens}[which]
         if keep:
             edges.add(frozenset({Pair(u1, u2), Pair(v1, v2)}))
-    return Hypergraph(product_vertices(h1, h2), frozenset(edges))
+    return Hypergraph(grid(h1, h2), frozenset(edges))
 
 
 # --------------------------------------------------------------------------

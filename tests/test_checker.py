@@ -1,11 +1,13 @@
 import dataclasses
 import json
+import weakref
 
 import pytest
 from hypothesis import given, settings
 
 import strategies as stg
 from oracles import enumerate_edge_subsets
+from hgprod import checker
 from hgprod import (
     ASSOCIATIVE_KINDS,
     Atom,
@@ -22,6 +24,7 @@ from hgprod import (
     counterexample_audit,
     counterexample_factors,
     derive_seed,
+    format_edge,
     format_fuzz_report,
     format_law_report,
     from_tokens,
@@ -29,6 +32,7 @@ from hgprod import (
     fuzz_report_dict,
     is_simple,
     law_report_dict,
+    product,
     random_hypergraph,
     rank,
     validate,
@@ -105,6 +109,18 @@ def test_report_invariants_are_enforced():
         LawReport(ProductKind.DIRMAX, "associativity", 3, 3, True, False, None, summ)
 
 
+# With the 3-edge first, every left edge regroups onto a right edge and the
+# right side has more, so the witness is the smallest right edge that is no
+# left edge's image.  Counts and witness recorded as literals.
+@pytest.mark.parametrize("kind,counts", [("dirmax", (12, 36)), ("dirnon", (12, 36)), ("strong", (58, 82))])
+def test_witness_from_the_right_side(single_edge_factors, kind, counts):
+    g, h = single_edge_factors
+    report = check_associativity(kind, h, g, g)
+    assert (report.left_count, report.right_count) == counts
+    assert format_edge(report.witness_edge) == "((x,a),a) ((y,a),b) ((z,b),a)"
+    assert report.witness_edge in product(kind, product(kind, h, g), g).edges
+
+
 # ---------------------------------------------------------------- commutativity
 
 def test_commutativity_on_the_running_example(single_edge_factors):
@@ -153,6 +169,15 @@ def test_lemma1_divergence_beyond_rank_3():
     assert not report.psi_is_isomorphism
     assert (report.left_count, report.right_count) == (14, 8)
     assert report.witness_edge is not None
+
+
+def test_lemma1_witness_from_the_right_side():
+    """dirmax of a path by a singleton edge lies inside dirnon of them; the
+    witness is the smallest dirnon edge dirmax lacks."""
+    path = from_tokens("a b c", ["a b", "b c"])
+    report = check_lemma1(path, from_tokens("x", ["x"]), enforce_preconditions=False)
+    assert (report.left_count, report.right_count) == (2, 3)
+    assert format_edge(report.witness_edge) == "(a,x) (b,x)"
 
 
 def test_lemma1_exhaustive_sweep():
@@ -324,6 +349,26 @@ def test_fuzz_is_deterministic_and_parallel_invariant():
     parallel = fuzz_law(ProductKind.DIRMAX, "associativity", FUZZ_CFG, trials=12, jobs=2)
     assert serial == again == parallel
     assert format_fuzz_report(serial) == format_fuzz_report(parallel)
+
+
+def test_fuzz_keeps_no_passing_report(monkeypatch):
+    """Reports are consumed as trials finish: when a trial starts, at most
+    the last two passing reports are still alive, not one per trial."""
+    alive = weakref.WeakSet()
+    most = 0
+    run_trial = checker._run_trial
+
+    def tracked(task):
+        nonlocal most
+        most = max(most, sum(r.psi_is_isomorphism for r in alive))
+        outcome = run_trial(task)
+        alive.add(outcome[2])
+        return outcome
+
+    monkeypatch.setattr(checker, "_run_trial", tracked)
+    report = fuzz_law(ProductKind.DIRMAX, "associativity", FUZZ_CFG, trials=60)
+    assert 0 < report.failure_count < 60
+    assert most <= 2
 
 
 def test_fuzz_rejects_unknown_law():

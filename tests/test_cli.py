@@ -682,6 +682,61 @@ def test_fmt_builds_no_label(run, files, monkeypatch):
     assert run("fmt", messy) == (0, canon, "")
 
 
+# strong of a 2-edge on three nested labels by a 2-edge on four labels,
+# plain and flattened (twelve vertices, so v10 sorts before v2); the text
+# as recorded before `product` read its factors as ranks.
+PRODUCT_OF_NESTED = """\
+vertices: (c,u) (c,v) (c,x) (c,(y,(z,w))) ((a,b),u) ((a,b),v) ((a,b),x) ((a,b),(y,(z,w))) \
+(((d,e),f),u) (((d,e),f),v) (((d,e),f),x) (((d,e),f),(y,(z,w)))
+edge: (c,x) (c,(y,(z,w)))
+edge: ((a,b),u) (((d,e),f),u)
+edge: ((a,b),v) (((d,e),f),v)
+edge: ((a,b),x) ((a,b),(y,(z,w)))
+edge: ((a,b),x) (((d,e),f),x)
+edge: ((a,b),x) (((d,e),f),(y,(z,w)))
+edge: ((a,b),(y,(z,w))) (((d,e),f),x)
+edge: ((a,b),(y,(z,w))) (((d,e),f),(y,(z,w)))
+edge: (((d,e),f),x) (((d,e),f),(y,(z,w)))
+"""
+FLAT_PRODUCT_OF_NESTED = """\
+# v0 = (c,u)
+# v1 = (c,v)
+# v2 = (c,x)
+# v3 = (c,(y,(z,w)))
+# v4 = ((a,b),u)
+# v5 = ((a,b),v)
+# v6 = ((a,b),x)
+# v7 = ((a,b),(y,(z,w)))
+# v8 = (((d,e),f),u)
+# v9 = (((d,e),f),v)
+# v10 = (((d,e),f),x)
+# v11 = (((d,e),f),(y,(z,w)))
+vertices: v0 v1 v10 v11 v2 v3 v4 v5 v6 v7 v8 v9
+edge: v10 v11
+edge: v10 v6
+edge: v10 v7
+edge: v11 v6
+edge: v11 v7
+edge: v2 v3
+edge: v4 v8
+edge: v5 v9
+edge: v6 v7
+"""
+
+
+def test_product_builds_no_label(run, files, monkeypatch):
+    g = files("g.hg", "vertices: (a,b) c ((d,e),f)\nedge: (a,b) ((d,e),f)\n")
+    h = files("h.hg", "vertices: x (y,(z,w)) v u\nedge: x (y,(z,w))\n")
+
+    def refuse(self):
+        raise AssertionError("product built a label")
+
+    monkeypatch.setattr(Atom, "__post_init__", refuse)
+    monkeypatch.setattr(Pair, "__post_init__", refuse)
+    assert run("product", "--kind", "strong", g, h) == (0, PRODUCT_OF_NESTED, "")
+    assert run("product", "--kind", "strong", "--flatten", g, h) == (0, FLAT_PRODUCT_OF_NESTED, "")
+
+
 def _nested(depth: int) -> str:
     return "(" * depth + "a" + ",b)" * depth  # ((a,b),b) for depth 2
 

@@ -8,6 +8,7 @@ from hypothesis import given
 import strategies as stg
 from oracles import count_partitions, subset_scan_direct
 from hgprod import products
+from hgprod.core import _ranked
 from hgprod import (
     DIRECT_KINDS,
     Atom,
@@ -23,7 +24,6 @@ from hgprod import (
     hypergraph,
     normal,
     product,
-    product_vertices,
     sorted_members,
     strong,
     validate,
@@ -184,7 +184,7 @@ def test_dirmax_matches_subset_scan(h1, h2):
 @given(stg.hypergraphs(max_vertices=3, max_edges=2),
        stg.hypergraphs(max_vertices=3, max_edges=2))
 def test_products_are_valid_on_the_full_vertex_grid(h1, h2):
-    grid = product_vertices(h1, h2)
+    grid = frozenset(Pair(x, y) for x in h1.vertices for y in h2.vertices)
     assert len(grid) == len(h1.vertices) * len(h2.vertices)
     for kind in ProductKind:
         prod = product(kind, h1, h2)
@@ -370,7 +370,7 @@ def test_pair_edges_match_the_oracles_up_to_size_5(a, b):
 def test_eight_onto_six_has_191520_surjection_graphs(a, b):
     (_, h1), (_, h2) = single_edge("u", a), single_edge("w", b)
     try:
-        assert len(products.ranked_product(ProductKind.DIRMAX, h1, h2)[3]) == 191_520
+        assert len(products.ranked_product(ProductKind.DIRMAX, _ranked(h1), _ranked(h2))[1]) == 191_520
     finally:
         products._patterns.cache_clear()  # the table holds about 20 MB
 
@@ -386,13 +386,13 @@ def test_tables_ascend_so_one_edge_pair_gives_sorted_ranked_edges():
     for kind in sorted(DIRECT_KINDS):
         for a, b in [(2, 2), (3, 5), (4, 7), (5, 3)]:
             (_, h1), (_, h2) = single_edge("u", a), single_edge("w", b)
-            edges = list(products.ranked_product(kind, h1, h2)[3])
+            edges = list(products.ranked_product(kind, _ranked(h1), _ranked(h2))[1])
             assert edges == sorted(edges), (kind, a, b)
     # The singleton's direct edge e4 x {c} is also a cartesian edge.
     _, h4 = single_edge("a", 4)
     e7 = frozenset(atoms("b1 b2 b3 b4 b5 b6 b7"))
     h7 = hypergraph(e7 | {Atom("c")}, [e7, frozenset({Atom("c")})])
-    edges = list(products.ranked_product(ProductKind.STRONG, h4, h7)[3])
+    edges = list(products.ranked_product(ProductKind.STRONG, _ranked(h4), _ranked(h7))[1])
     assert len(edges) == len(set(edges)) == 4 * 2 + 1 * 8 + 8400 == len(strong(h4, h7).edges)
 
 
@@ -415,7 +415,9 @@ def test_ranked_edges_ascend_and_are_the_rank_images_of_product_edges(h1, h2):
     """Each factor edge enters in rank order, so every ranked edge comes out
     strictly ascending, with no sort: it is the labelled edge's rank image."""
     for kind in ProductKind:
-        xs, ys, vertices, edges = products.ranked_product(kind, h1, h2)
+        f1, f2 = _ranked(h1), _ranked(h2)
+        xs, ys = f1[0], f2[0]
+        vertices, edges = products.ranked_product(kind, f1, f2)
         rank = {Pair(x, y): i * len(ys) + j for i, x in enumerate(xs) for j, y in enumerate(ys)}
         labelled = product(kind, h1, h2)
         assert vertices == sorted(rank[v] for v in labelled.vertices)
