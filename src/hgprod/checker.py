@@ -388,7 +388,9 @@ def _draw_factor(cfg: GeneratorConfig, trial: int, position: int) -> tuple[int, 
     )
 
 
-def _run_trial(args: tuple) -> tuple[int, tuple[int, ...], LawReport]:
+def _run_trial(args: tuple) -> TrialFailure | None:
+    """The trial's failure, or None when the law held: a passing report
+    dies with its trial, in a worker too, and is never pickled."""
     kind, law, cfg, trial = args
     count = 3 if law == "associativity" else 2
     seeds = []
@@ -403,22 +405,13 @@ def _run_trial(args: tuple) -> tuple[int, tuple[int, ...], LawReport]:
         report = check_commutativity(kind, *factors)
     else:
         raise ValueError(f"unknown law {law!r}")
-    return trial, tuple(seeds), report
+    return None if report.psi_is_isomorphism else TrialFailure(trial, tuple(seeds), report)
 
 
 def _failure_rank(failure: TrialFailure) -> tuple:
     total_vertices = sum(s.vertices for s in failure.report.factor_summaries)
     total_edges = sum(s.edges for s in failure.report.factor_summaries)
     return (total_vertices, total_edges, failure.trial)
-
-
-def _failures(outcomes) -> tuple[TrialFailure, ...]:
-    """The failed trials, taken from the outcomes as they arrive."""
-    return tuple(
-        TrialFailure(trial, seeds, report)
-        for trial, seeds, report in outcomes
-        if not report.psi_is_isomorphism
-    )
 
 
 def fuzz_law(
@@ -442,9 +435,10 @@ def fuzz_law(
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # multiprocessing: not on serial runs
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            failures = _failures(pool.map(_run_trial, tasks, chunksize=max(1, trials // (4 * jobs))))
+            outcomes = pool.map(_run_trial, tasks, chunksize=max(1, trials // (4 * jobs)))
+            failures = tuple(filter(None, outcomes))  # a passing trial sends back None
     else:
-        failures = _failures(map(_run_trial, tasks))
+        failures = tuple(filter(None, map(_run_trial, tasks)))
     minimal = min(failures, key=_failure_rank) if failures else None
     return FuzzReport(kind, law, cfg.seed, trials, failures, minimal)
 

@@ -189,15 +189,3 @@ def is_simple(hg: Hypergraph) -> bool:
             return False
     return True
 
-
-def vertex_signatures(hg: Hypergraph) -> dict:
-    """Per-vertex invariant: the sorted tuple of incident edge sizes.
-
-    Finer than the degree (it refines degree by edge sizes); used as an
-    isomorphism screen.
-    """
-    sig: dict = {v: [] for v in hg.vertices}
-    for e in hg.edges:
-        for v in e:
-            sig[v].append(len(e))
-    return {v: tuple(sorted(sizes)) for v, sizes in sig.items()}

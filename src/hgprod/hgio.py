@@ -18,8 +18,8 @@ edge is the sorted tuple of its members' ranks, so sorting edges as tuples
 one token, so parsing looks each edge token up in the ``vertices:`` line
 and serializing formats each label once.  `parse_hg` builds labels for the
 library; ``_parse(ranked=True)`` stops at the triple, ordering the tokens
-by label_key tuples parsed straight from them, so ``hgprod product`` and
-``hgprod fmt`` build no label at all.  Edges keep the order they come in,
+by label_key tuples parsed straight from them, so ``hgprod product``,
+``hgprod fmt`` and ``hgprod iso`` build no label at all.  Edges keep the order they come in,
 each once, so canonical text and ranked products reach `_emit` as
 ascending runs, which its sorts merge in about linear time.
 """

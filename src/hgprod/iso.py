@@ -1,18 +1,22 @@
 """Isomorphism testing and relabeling along a vertex bijection.
 
-are_isomorphic screens vertex and edge counts and the sorted per-vertex
-incident edge-size multisets, then runs individualise-and-refine (McKay &
-Piperno, "Practical graph isomorphism II", 2014): colour refinement on the
-vertex-edge incidence structure of both hypergraphs at once, individualising
-the first vertex of the first non-singleton cell of the first against each
-vertex of its colour in the second.  A colour is the start index of its
-cell in the ordered partition.  A refinement round recomputes signatures
-only for vertices sharing an edge with a non-largest piece of a cell that
-split the round before, and a child starts from its parent's equitable
-colouring at the edges of the individualised pair.  A cell holding unequal
-numbers of vertices of the two hypergraphs refutes a branch; a discrete
-leaf is verified edge by edge, so every witness is a checked bijection.
-Instances beyond a vertex bound are refused unsearched.
+The decision runs on rank triples (order, vertices, edges), the shape
+`core._ranked` and ``hgio._parse(ranked=True)`` give, so ``hgprod iso``
+decides straight from the text and builds no label.  It screens vertex and
+edge counts and the sorted per-vertex incident edge-size multisets, then
+runs individualise-and-refine (McKay & Piperno, "Practical graph
+isomorphism II", 2014): colour refinement on the vertex-edge incidence
+structure of both hypergraphs at once, individualising the first vertex of
+the first non-singleton cell of the first against each vertex of its colour
+in the second.  A colour is the start index of its cell in the ordered
+partition.  A refinement round recomputes signatures only for vertices
+sharing an edge with a non-largest piece of a cell that split the round
+before, and a child starts from its parent's equitable colouring at the
+edges of the individualised pair.  A cell holding unequal numbers of
+vertices of the two hypergraphs refutes a branch; a discrete leaf is
+verified edge by edge, so every witness is a checked bijection.  Instances
+beyond a vertex bound are refused unsearched.  are_isomorphic screens the
+counts before it ranks, and maps the rank witness back to labels.
 
 Also here: the regrouping map (x,(y,z)) <-> ((x,y),z) between the two
 groupings of a triple product, and the coordinate swap (x,y) -> (y,x) used
@@ -24,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .core import Hypergraph, Label, Pair, _ranked, format_label, vertex_signatures
+from .core import Hypergraph, Label, Pair, _ranked, format_label
 
 
 class IsoBoundError(ValueError):
@@ -82,30 +86,45 @@ def swap_map(v: Label) -> Label:
 def are_isomorphic(h1: Hypergraph, h2: Hypergraph, max_vertices: int = 12) -> IsoResult:
     """Decide whether two hypergraphs are isomorphic.
 
-    Count and signature screens first; only when they agree does the
+    Count and edge-size screens first; only when they agree does the
     refinement search run.  Raises IsoBoundError when a search would be
-    needed on more than max_vertices vertices.
+    needed on more than max_vertices vertices, and ValueError when the
+    counts agree but an edge has a member outside its vertex set.
     """
     if len(h1.vertices) != len(h2.vertices) or len(h1.edges) != len(h2.edges):
-        return IsoResult(False, None, 0)
-    if sorted(vertex_signatures(h1).values()) != sorted(vertex_signatures(h2).values()):
-        return IsoResult(False, None, 0)
-    n = len(h1.vertices)
-    if n > max_vertices:
-        raise IsoBoundError(f"{n} vertices exceeds the search bound of {max_vertices}")
+        return IsoResult(False, None, 0)  # before ranking: a mismatch costs no sort
+    f1, f2 = _ranked(h1), _ranked(h2)
+    result = _isomorphic(f1, f2, max_vertices)
+    if not result.isomorphic:
+        return result
+    witness = {f1[0][v]: f2[0][w] for v, w in result.witness.items()}
+    return IsoResult(True, witness, result.nodes_explored)
 
-    # One disjoint union: h1's vertices are 0..n-1 and h2's are n..2n-1,
-    # each side in label order, so both sides share every colour table.
-    # The signature screen found every edge member among the vertices.
-    order1, _, edges1 = _ranked(h1)
-    order2, _, edges2 = _ranked(h2)
-    labels = order1 + order2
-    edges = edges1 + [tuple(map(n.__add__, e)) for e in edges2]
-    targets = {frozenset(e) for e in edges[len(edges1):]}
-    incident: list = [[] for _ in labels]
+
+def _isomorphic(f1: tuple, f2: tuple, max_vertices: int) -> IsoResult:
+    """are_isomorphic on two rank triples of the shape `core._ranked` gives;
+    the witness maps vertex ranks of the first to those of the second, in
+    rank order."""
+    (order1, vertices1, edges1), (order2, vertices2, edges2) = f1, f2
+    n = len(vertices1)
+    if n != len(vertices2) or len(edges1) != len(edges2):
+        return IsoResult(False, None, 0)
+    if len(order1) != n or len(order2) != n:  # _ranked ranks stray edge members too
+        raise ValueError("an edge has a member outside the vertex set")
+    # One disjoint union: the first's vertices are 0..n-1 and the second's
+    # are n..2n-1, each side in rank order, so both share every colour table.
+    edges = [*edges1, *(tuple(map(n.__add__, e)) for e in edges2)]
+    incident: list = [[] for _ in range(2 * n)]
     for i, e in enumerate(edges):
         for v in e:
             incident[v].append(i)
+    # The size screen: each vertex's incident edge sizes, degrees refined by size.
+    sizes = [sorted(len(edges[i]) for i in inc) for inc in incident]
+    if sorted(sizes[:n]) != sorted(sizes[n:]):
+        return IsoResult(False, None, 0)
+    if n > max_vertices:
+        raise IsoBoundError(f"{n} vertices exceeds the search bound of {max_vertices}")
+    targets = {frozenset(e) for e in edges[len(edges1):]}
     around = [set().union(*map(edges.__getitem__, inc)) for inc in incident]  # edge-mates
     nodes = 0
 
@@ -119,7 +138,7 @@ def are_isomorphic(h1: Hypergraph, h2: Hypergraph, max_vertices: int = 12) -> Is
         # see something their cell-mates do not; the untouched rest of a cell
         # all have one signature, computed from one of them.  Refines colour
         # and cells in place; False as soon as a new cell holds unequal numbers
-        # of h1 and h2 vertices.
+        # of vertices of the two sides.
         while touched:
             by_cell: dict = {}
             for v in touched:
@@ -186,5 +205,5 @@ def are_isomorphic(h1: Hypergraph, h2: Hypergraph, max_vertices: int = 12) -> Is
         image = {colour[w]: w for w in range(n, 2 * n)}
         phi = [image[colour[v]] for v in range(n)]
         if all(frozenset(phi[v] for v in e) in targets for e in edges1):
-            return IsoResult(True, {labels[v]: labels[phi[v]] for v in range(n)}, nodes)
+            return IsoResult(True, {v: w - n for v, w in enumerate(phi)}, nodes)
     return IsoResult(False, None, nodes)

@@ -352,23 +352,28 @@ def test_fuzz_is_deterministic_and_parallel_invariant():
 
 
 def test_fuzz_keeps_no_passing_report(monkeypatch):
-    """Reports are consumed as trials finish: when a trial starts, at most
-    the last two passing reports are still alive, not one per trial."""
+    """A passing report dies with its trial: none is alive when a trial
+    returns, so none is kept or pickled, whatever the trial count."""
     alive = weakref.WeakSet()
     most = 0
-    run_trial = checker._run_trial
+    run_trial, audit = checker._run_trial, checker.check_associativity
+
+    def tracked_audit(*args, **kwargs):
+        report = audit(*args, **kwargs)
+        alive.add(report)
+        return report
 
     def tracked(task):
         nonlocal most
-        most = max(most, sum(r.psi_is_isomorphism for r in alive))
         outcome = run_trial(task)
-        alive.add(outcome[2])
+        most = max(most, sum(r.psi_is_isomorphism for r in alive))
         return outcome
 
+    monkeypatch.setattr(checker, "check_associativity", tracked_audit)
     monkeypatch.setattr(checker, "_run_trial", tracked)
     report = fuzz_law(ProductKind.DIRMAX, "associativity", FUZZ_CFG, trials=60)
     assert 0 < report.failure_count < 60
-    assert most <= 2
+    assert most == 0
 
 
 def test_fuzz_rejects_unknown_law():

@@ -737,6 +737,47 @@ def test_product_builds_no_label(run, files, monkeypatch):
     assert run("product", "--kind", "strong", "--flatten", g, h) == (0, FLAT_PRODUCT_OF_NESTED, "")
 
 
+# A witness pair and a refutation pair on nested tokens (atoms sort before
+# pairs, (x,(y,z)) before ((d,e),f)); the text as recorded before `iso`
+# read its files as ranks.
+ISO_NESTED_FILES = {
+    "w1.hg": "vertices: (a,b) c ((d,e),f) (x,(y,z)) g\n"
+             "edge: (a,b) c\nedge: c ((d,e),f) (x,(y,z))\nedge: (x,(y,z)) g\n",
+    "w2.hg": "vertices: p (q,(r,s)) ((t,u),v) w (o,o)\n"
+             "edge: w ((t,u),v)\nedge: ((t,u),v) p (q,(r,s))\nedge: (o,o) (q,(r,s))\n",
+    "c4.hg": "vertices: (a,1) (b,1) (c,(1,2)) d ((e,f),g) h (i,j) k x y\n"
+             "edge: (a,1) (b,1) (c,(1,2))\nedge: (c,(1,2)) d ((e,f),g)\n"
+             "edge: ((e,f),g) h (i,j)\nedge: (i,j) k (a,1)\n",
+    "cc.hg": "vertices: (a,1) (b,1) (c,(1,2)) d ((e,f),g) h (i,j) k x y\n"
+             "edge: (a,1) (b,1) (c,(1,2))\nedge: (c,(1,2)) d (a,1)\n"
+             "edge: ((e,f),g) h (i,j)\nedge: (i,j) k ((e,f),g)\n",
+}
+ISO_OF_NESTED = [
+    (("w1.hg", "w2.hg"), [], 0,
+     "isomorphic: true\nnodes_explored: 1\nmap: c -> (q,(r,s))\nmap: g -> w\n"
+     "map: (a,b) -> (o,o)\nmap: (x,(y,z)) -> ((t,u),v)\nmap: ((d,e),f) -> p\n"),
+    (("w1.hg", "w2.hg"), ["--json"], 0,
+     '{\n  "isomorphic": true,\n  "nodes_explored": 1,\n  "witness": {\n'
+     '    "c": "(q,(r,s))",\n    "g": "w",\n    "(a,b)": "(o,o)",\n'
+     '    "(x,(y,z))": "((t,u),v)",\n    "((d,e),f)": "p"\n  }\n}\n'),
+    (("c4.hg", "cc.hg"), [], 1, "isomorphic: false\nnodes_explored: 10\n"),
+    (("c4.hg", "cc.hg"), ["--json"], 1,
+     '{\n  "isomorphic": false,\n  "nodes_explored": 10,\n  "witness": null\n}\n'),
+]
+
+
+def test_iso_builds_no_label(run, files, monkeypatch):
+    paths = {name: files(name, text) for name, text in ISO_NESTED_FILES.items()}
+
+    def refuse(self):
+        raise AssertionError("iso built a label")
+
+    monkeypatch.setattr(Atom, "__post_init__", refuse)
+    monkeypatch.setattr(Pair, "__post_init__", refuse)
+    for pair, flags, code, stdout in ISO_OF_NESTED:
+        assert run("iso", *map(paths.__getitem__, pair), *flags) == (code, stdout, "")
+
+
 def _nested(depth: int) -> str:
     return "(" * depth + "a" + ",b)" * depth  # ((a,b),b) for depth 2
 

@@ -21,7 +21,6 @@ from hgprod import (
     label_key,
     rank,
     validate,
-    vertex_signatures,
 )
 
 
@@ -141,14 +140,6 @@ def test_rank_and_simplicity():
     assert not is_simple(single)  # singleton edge
 
 
-def test_vertex_signatures_distinguish_roles():
-    h = from_tokens("a b c", ["a b", "a c"])
-    sigs = vertex_signatures(h)
-    assert sigs[Atom("a")] == (2, 2)
-    assert sigs[Atom("b")] == (2,)
-    assert sigs[Atom("c")] == (2,)
-
-
 # ---------------------------------------------------------------- properties
 
 @given(stg.hypergraphs(labels=stg.any_labels))
@@ -158,13 +149,11 @@ def test_validate_passes_for_built_instances(h):
 
 @given(stg.hypergraphs())
 def test_relabeling_preserves_invariants(h):
-    """Vertex signatures (degrees refined by edge sizes), rank and simplicity
-    cannot depend on vertex names."""
+    """Rank and simplicity cannot depend on vertex names."""
     fresh = {v: Atom(f"r{i}") for i, v in enumerate(sorted(h.vertices, key=label_key))}
     image = hypergraph(
         fresh.values(),
         [frozenset(fresh[v] for v in e) for e in h.edges],
     )
-    assert sorted(vertex_signatures(image).values()) == sorted(vertex_signatures(h).values())
     assert rank(image) == rank(h)
     assert is_simple(image) == is_simple(h)

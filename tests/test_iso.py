@@ -10,12 +10,14 @@ import strategies as stg
 from oracles import bijection_scan_isomorphic
 from hgprod import (
     Atom,
+    Hypergraph,
     IsoBoundError,
     IsoResult,
     Pair,
     apply_mapping,
     are_isomorphic,
     atoms,
+    check_associativity,
     format_label,
     from_tokens,
     hypergraph,
@@ -288,9 +290,41 @@ def test_decision_is_symmetric(h1, h2):
 
 
 def test_root_refinement_refutes_with_no_search_node():
-    """Both have degree sequence 3,2,2,1,1,1, so the count and signature
+    """Both have degree sequence 3,2,2,1,1,1, so the count and edge-size
     screens pass; colour refinement at the root tells them apart."""
     g = from_tokens("a b c d e f", ["a d", "b c", "c d", "d e", "e f"])
     h = from_tokens("a b c d e f", ["a c", "a e", "a f", "b d", "c e"])
     assert are_isomorphic(g, h) == IsoResult(False, None, 0)
     assert are_isomorphic(h, g) == IsoResult(False, None, 0)
+
+
+def test_size_screen_refutes_equal_degree_sequences():
+    """Equal edge sizes and equal degree sequences, but no vertex of h2 lies
+    in both a 2-edge and the 3-edge, as 3 does in h1: the incident-size
+    screen refutes before the bound, where a degree-only screen would let
+    the pair reach it and raise IsoBoundError."""
+    h1 = from_tokens("1 2 3 4 5", ["1 2", "3 4 5", "1 3"])
+    h2 = from_tokens("1 2 3 4 5", ["1 2", "3 4 5", "4 5"])
+    assert are_isomorphic(h1, h2, max_vertices=4) == IsoResult(False, None, 0)
+    assert are_isomorphic(h2, h1, max_vertices=4) == IsoResult(False, None, 0)
+
+
+def test_edge_member_outside_the_vertex_set_is_a_value_error():
+    """Unvalidated input: after the count screen, an edge member that is no
+    vertex raises ValueError (it was a bare KeyError); a pair the count
+    screen rejects keeps its verdict."""
+    a, b, c = atoms("a b c")
+    bad = Hypergraph(frozenset({a, b}), frozenset({frozenset({a, c})}))
+    with pytest.raises(ValueError, match="outside the vertex set"):
+        are_isomorphic(bad, bad)
+    assert are_isomorphic(bad, from_tokens("a b", ["a b", "a"])) == IsoResult(False, None, 0)
+    assert are_isomorphic(bad, from_tokens("a b c", ["a c"])) == IsoResult(False, None, 0)
+    # dirnon groupings of these unvalidated factors have equal counts, so
+    # the full search runs and meets the stray members.
+    factors = [
+        Hypergraph(frozenset(atoms("a0 a1")), frozenset({frozenset(atoms("a0 a1 az"))})),
+        Hypergraph(frozenset(atoms("b0")), frozenset({frozenset(atoms("b0 bz"))})),
+        Hypergraph(frozenset(atoms("c0 c1 c2")), frozenset({frozenset(atoms("c1 c2 cz"))})),
+    ]
+    with pytest.raises(ValueError, match="outside the vertex set"):
+        check_associativity(ProductKind.DIRNON, *factors, full_iso=True)
