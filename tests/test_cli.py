@@ -610,6 +610,340 @@ def test_fuzz_bad_arguments_exit_2_with_one_error_line(run, override, message):
     assert message in err
 
 
+# ---------------------------------------------------------------- report pins
+
+REPORT_FILES = {"g.hg": G_TEXT, "h.hg": H_TEXT, "h4.hg": "vertices: w x y z\nedge: w x y z\n"}
+
+# Every report command's whole stdout, stderr and exit code, in text and in
+# --json.  The iso pins are in test_iso_stdout_bytes_are_pinned.
+REPORT_PINS = [
+    ("assoc --kind dirmax g.hg g.hg h.hg --full-iso", 1,
+     "law: associativity\n"
+     "kind: dirmax\n"
+     "factors: |V|=2 |E|=1 r=2; |V|=2 |E|=1 r=2; |V|=3 |E|=1 r=3\n"
+     "left_count: 36\n"
+     "right_count: 12\n"
+     "psi_iso: false\n"
+     "full_iso: false\n"
+     "witness: (a,(a,x)) (a,(b,y)) (b,(a,z))\n",
+     ""),
+    ("assoc --kind dirmax g.hg g.hg h.hg --full-iso --json", 1,
+     "{\n"
+     '  "kind": "dirmax",\n'
+     '  "law": "associativity",\n'
+     '  "left_count": 36,\n'
+     '  "right_count": 12,\n'
+     '  "psi_iso": false,\n'
+     '  "full_iso": false,\n'
+     '  "witness": [\n'
+     '    "(a,(a,x))",\n'
+     '    "(a,(b,y))",\n'
+     '    "(b,(a,z))"\n'
+     "  ]\n"
+     "}\n",
+     ""),
+    ("assoc --kind cartesian g.hg g.hg h.hg --full-iso", 0,
+     "law: associativity\n"
+     "kind: cartesian\n"
+     "factors: |V|=2 |E|=1 r=2; |V|=2 |E|=1 r=2; |V|=3 |E|=1 r=3\n"
+     "left_count: 16\n"
+     "right_count: 16\n"
+     "psi_iso: true\n"
+     "full_iso: true\n"
+     "witness: none\n",
+     ""),
+    ("assoc --kind cartesian g.hg g.hg h.hg --full-iso --json", 0,
+     "{\n"
+     '  "kind": "cartesian",\n'
+     '  "law": "associativity",\n'
+     '  "left_count": 16,\n'
+     '  "right_count": 16,\n'
+     '  "psi_iso": true,\n'
+     '  "full_iso": true,\n'
+     '  "witness": null\n'
+     "}\n",
+     ""),
+    ("assoc --kind dirmax g.hg g.hg h4.hg --full-iso", 1,
+     "law: associativity\n"
+     "kind: dirmax\n"
+     "factors: |V|=2 |E|=1 r=2; |V|=2 |E|=1 r=2; |V|=4 |E|=1 r=4\n"
+     "left_count: 196\n"
+     "right_count: 28\n"
+     "psi_iso: false\n"
+     "full_iso: none\n"
+     "witness: (a,(a,w)) (a,(a,x)) (a,(b,y)) (b,(a,z))\n",
+     "note: full isomorphism search skipped (vertex bound exceeded)\n"),
+    ("assoc --kind dirmax g.hg g.hg h4.hg --full-iso --json", 1,
+     "{\n"
+     '  "kind": "dirmax",\n'
+     '  "law": "associativity",\n'
+     '  "left_count": 196,\n'
+     '  "right_count": 28,\n'
+     '  "psi_iso": false,\n'
+     '  "full_iso": null,\n'
+     '  "witness": [\n'
+     '    "(a,(a,w))",\n'
+     '    "(a,(a,x))",\n'
+     '    "(a,(b,y))",\n'
+     '    "(b,(a,z))"\n'
+     "  ]\n"
+     "}\n",
+     "note: full isomorphism search skipped (vertex bound exceeded)\n"),
+    ("commut --kind strong g.hg h.hg", 0,
+     "law: commutativity\n"
+     "kind: strong\n"
+     "factors: |V|=2 |E|=1 r=2; |V|=3 |E|=1 r=3\n"
+     "left_count: 11\n"
+     "right_count: 11\n"
+     "psi_iso: true\n"
+     "full_iso: none\n"
+     "witness: none\n",
+     ""),
+    ("commut --kind strong g.hg h.hg --json", 0,
+     "{\n"
+     '  "kind": "strong",\n'
+     '  "law": "commutativity",\n'
+     '  "left_count": 11,\n'
+     '  "right_count": 11,\n'
+     '  "psi_iso": true,\n'
+     '  "full_iso": null,\n'
+     '  "witness": null\n'
+     "}\n",
+     ""),
+    ("lemma1 g.hg h.hg", 0,
+     "law: lemma1\n"
+     "kind: dirmax\n"
+     "factors: |V|=2 |E|=1 r=2; |V|=3 |E|=1 r=3\n"
+     "left_count: 6\n"
+     "right_count: 6\n"
+     "psi_iso: true\n"
+     "full_iso: none\n"
+     "witness: none\n",
+     ""),
+    ("lemma1 g.hg h.hg --json", 0,
+     "{\n"
+     '  "kind": "dirmax",\n'
+     '  "law": "lemma1",\n'
+     '  "left_count": 6,\n'
+     '  "right_count": 6,\n'
+     '  "psi_iso": true,\n'
+     '  "full_iso": null,\n'
+     '  "witness": null\n'
+     "}\n",
+     ""),
+    ("counterexample", 1,
+     "law: associativity\n"
+     "kind: dirmax\n"
+     "factors: |V|=2 |E|=1 r=2; |V|=2 |E|=1 r=2; |V|=3 |E|=1 r=3\n"
+     "left_count: 36\n"
+     "right_count: 12\n"
+     "psi_iso: false\n"
+     "full_iso: false\n"
+     "witness: (a,(a,x)) (a,(b,y)) (b,(a,z))\n"
+     "\n"
+     "law: associativity\n"
+     "kind: dirnon\n"
+     "factors: |V|=2 |E|=1 r=2; |V|=2 |E|=1 r=2; |V|=3 |E|=1 r=3\n"
+     "left_count: 36\n"
+     "right_count: 12\n"
+     "psi_iso: false\n"
+     "full_iso: false\n"
+     "witness: (a,(a,x)) (a,(b,y)) (b,(a,z))\n"
+     "\n"
+     "law: associativity\n"
+     "kind: strong\n"
+     "factors: |V|=2 |E|=1 r=2; |V|=2 |E|=1 r=2; |V|=3 |E|=1 r=3\n"
+     "left_count: 82\n"
+     "right_count: 58\n"
+     "psi_iso: false\n"
+     "full_iso: false\n"
+     "witness: (a,(a,x)) (a,(b,y)) (b,(a,z))\n"
+     "\n"
+     "witness_edge: (a,(a,x)) (a,(b,y)) (b,(b,z))\n"
+     "witness_image_absent_on_right: ((a,a),x) ((a,b),y) ((b,b),z)\n",
+     ""),
+    ("counterexample --json", 1,
+     "{\n"
+     '  "reports": [\n'
+     "    {\n"
+     '      "kind": "dirmax",\n'
+     '      "law": "associativity",\n'
+     '      "left_count": 36,\n'
+     '      "right_count": 12,\n'
+     '      "psi_iso": false,\n'
+     '      "full_iso": false,\n'
+     '      "witness": [\n'
+     '        "(a,(a,x))",\n'
+     '        "(a,(b,y))",\n'
+     '        "(b,(a,z))"\n'
+     "      ]\n"
+     "    },\n"
+     "    {\n"
+     '      "kind": "dirnon",\n'
+     '      "law": "associativity",\n'
+     '      "left_count": 36,\n'
+     '      "right_count": 12,\n'
+     '      "psi_iso": false,\n'
+     '      "full_iso": false,\n'
+     '      "witness": [\n'
+     '        "(a,(a,x))",\n'
+     '        "(a,(b,y))",\n'
+     '        "(b,(a,z))"\n'
+     "      ]\n"
+     "    },\n"
+     "    {\n"
+     '      "kind": "strong",\n'
+     '      "law": "associativity",\n'
+     '      "left_count": 82,\n'
+     '      "right_count": 58,\n'
+     '      "psi_iso": false,\n'
+     '      "full_iso": false,\n'
+     '      "witness": [\n'
+     '        "(a,(a,x))",\n'
+     '        "(a,(b,y))",\n'
+     '        "(b,(a,z))"\n'
+     "      ]\n"
+     "    }\n"
+     "  ],\n"
+     '  "witness_edge": "(a,(a,x)) (a,(b,y)) (b,(b,z))",\n'
+     '  "witness_image": "((a,a),x) ((a,b),y) ((b,b),z)"\n'
+     "}\n",
+     ""),
+    ("fuzz --kind dirmax --law assoc --seed 2 --trials 4 --max-vertices 3 --max-edges 1 --edge-size-min 2", 1,
+     "law: associativity\n"
+     "kind: dirmax\n"
+     "seed: 2\n"
+     "trials: 4\n"
+     "failures: 2\n"
+     "failing_trials: 0 2\n"
+     "minimal_trial: 2\n"
+     "minimal_factor_seeds: 8112600223918159332 13264548337748323810 7427600023522335032\n"
+     "  law: associativity\n"
+     "  kind: dirmax\n"
+     "  factors: |V|=3 |E|=1 r=3; |V|=2 |E|=1 r=2; |V|=2 |E|=1 r=2\n"
+     "  left_count: 12\n"
+     "  right_count: 36\n"
+     "  psi_iso: false\n"
+     "  full_iso: none\n"
+     "  witness: ((v0,v0),v0) ((v1,v0),v1) ((v2,v1),v0)\n",
+     ""),
+    ("fuzz --kind dirmax --law assoc --seed 2 --trials 4 --max-vertices 3 --max-edges 1 --edge-size-min 2 --json", 1,
+     "{\n"
+     '  "kind": "dirmax",\n'
+     '  "law": "associativity",\n'
+     '  "seed": 2,\n'
+     '  "trials": 4,\n'
+     '  "failure_count": 2,\n'
+     '  "failures": [\n'
+     "    {\n"
+     '      "trial": 0,\n'
+     '      "factor_seeds": [\n'
+     "        2931004567720371905,\n"
+     "        15432287184251514724,\n"
+     "        11753977307514206890\n"
+     "      ],\n"
+     '      "report": {\n'
+     '        "kind": "dirmax",\n'
+     '        "law": "associativity",\n'
+     '        "left_count": 36,\n'
+     '        "right_count": 12,\n'
+     '        "psi_iso": false,\n'
+     '        "full_iso": null,\n'
+     '        "witness": [\n'
+     '          "(v0,(v0,v0))",\n'
+     '          "(v0,(v2,v1))",\n'
+     '          "(v1,(v0,v2))"\n'
+     "        ]\n"
+     "      }\n"
+     "    },\n"
+     "    {\n"
+     '      "trial": 2,\n'
+     '      "factor_seeds": [\n'
+     "        8112600223918159332,\n"
+     "        13264548337748323810,\n"
+     "        7427600023522335032\n"
+     "      ],\n"
+     '      "report": {\n'
+     '        "kind": "dirmax",\n'
+     '        "law": "associativity",\n'
+     '        "left_count": 12,\n'
+     '        "right_count": 36,\n'
+     '        "psi_iso": false,\n'
+     '        "full_iso": null,\n'
+     '        "witness": [\n'
+     '          "((v0,v0),v0)",\n'
+     '          "((v1,v0),v1)",\n'
+     '          "((v2,v1),v0)"\n'
+     "        ]\n"
+     "      }\n"
+     "    }\n"
+     "  ],\n"
+     '  "minimal": {\n'
+     '    "trial": 2,\n'
+     '    "factor_seeds": [\n'
+     "      8112600223918159332,\n"
+     "      13264548337748323810,\n"
+     "      7427600023522335032\n"
+     "    ],\n"
+     '    "report": {\n'
+     '      "kind": "dirmax",\n'
+     '      "law": "associativity",\n'
+     '      "left_count": 12,\n'
+     '      "right_count": 36,\n'
+     '      "psi_iso": false,\n'
+     '      "full_iso": null,\n'
+     '      "witness": [\n'
+     '        "((v0,v0),v0)",\n'
+     '        "((v1,v0),v1)",\n'
+     '        "((v2,v1),v0)"\n'
+     "      ]\n"
+     "    }\n"
+     "  }\n"
+     "}\n",
+     ""),
+    ("fuzz --kind dirmin --law assoc --seed 2 --trials 4 --max-vertices 3 --max-edges 1 --edge-size-min 2", 0,
+     "law: associativity\n"
+     "kind: dirmin\n"
+     "seed: 2\n"
+     "trials: 4\n"
+     "failures: 0\n"
+     "failing_trials: none\n",
+     ""),
+    ("fuzz --kind dirmin --law assoc --seed 2 --trials 4 --max-vertices 3 --max-edges 1 --edge-size-min 2 --json", 0,
+     "{\n"
+     '  "kind": "dirmin",\n'
+     '  "law": "associativity",\n'
+     '  "seed": 2,\n'
+     '  "trials": 4,\n'
+     '  "failure_count": 0,\n'
+     '  "failures": [],\n'
+     '  "minimal": null\n'
+     "}\n",
+     ""),
+    ("count --kind dirmax g.hg h.hg --verify", 0,
+     "kind: dirmax\n"
+     "formula_count: 6\n"
+     "enumerated_count: 6\n"
+     "agreement: true\n",
+     ""),
+    ("count --kind dirmax g.hg h.hg --verify --json", 0,
+     "{\n"
+     '  "kind": "dirmax",\n'
+     '  "formula_count": 6,\n'
+     '  "enumerated_count": 6,\n'
+     '  "agreement": true\n'
+     "}\n",
+     ""),
+
+]
+
+
+@pytest.mark.parametrize("command, code, stdout, stderr", REPORT_PINS, ids=[pin[0] for pin in REPORT_PINS])
+def test_report_stdout_bytes_are_pinned(run, files, command, code, stdout, stderr):
+    paths = {name: files(name, text) for name, text in REPORT_FILES.items()}
+    assert run(*(paths.get(word, word) for word in command.split())) == (code, stdout, stderr)
+
+
 # ---------------------------------------------------------------- fmt + errors
 
 def test_fmt_canonicalizes(run, files):

@@ -60,8 +60,12 @@ def test_readme_command_listings_match_the_cli(tmp_path):
     (tmp_path / "g.hg").write_text("vertices: a b\nedge: a b\n", encoding="utf-8")
     (tmp_path / "h.hg").write_text("vertices: x y z\nedge: x y z\n", encoding="utf-8")
     env = {**os.environ, "PYTHONPATH": str(Path(hgprod.__file__).parents[1])}
-    for command in ("hgprod product --kind dirmax g.hg h.hg", "hgprod count --kind dirmax g.hg h.hg --verify"):
+    for command, code in (
+        ("hgprod product --kind dirmax g.hg h.hg", 0),
+        ("hgprod count --kind dirmax g.hg h.hg --verify", 0),
+        ("hgprod assoc --kind dirmax g.hg g.hg h.hg --full-iso", 1),
+    ):
         result = subprocess.run([sys.executable, "-m", *command.split()], cwd=tmp_path, env=env,
                                 capture_output=True, text=True, timeout=120)
-        assert (result.returncode, result.stderr) == (0, "")
+        assert (result.returncode, result.stderr) == (code, "")
         assert result.stdout == _readme_listing(command)
