@@ -23,7 +23,6 @@ from .core import (
     Hypergraph,
     Pair,
     edge_key,
-    format_edge,
     format_label,
     from_tokens,
     hypergraph,
@@ -388,24 +387,21 @@ def _draw_factor(cfg: GeneratorConfig, trial: int, position: int) -> tuple[int, 
     )
 
 
+# The laws fuzz_law audits: law -> (factor count, audit).
+_FUZZ_LAWS = {
+    "associativity": (3, check_associativity),
+    "commutativity": (2, check_commutativity),
+}
+
+
 def _run_trial(args: tuple) -> TrialFailure | None:
     """The trial's failure, or None when the law held: a passing report
     dies with its trial, in a worker too, and is never pickled."""
     kind, law, cfg, trial = args
-    count = 3 if law == "associativity" else 2
-    seeds = []
-    factors = []
-    for position in range(count):
-        seed, factor = _draw_factor(cfg, trial, position)
-        seeds.append(seed)
-        factors.append(factor)
-    if law == "associativity":
-        report = check_associativity(kind, *factors)
-    elif law == "commutativity":
-        report = check_commutativity(kind, *factors)
-    else:
-        raise ValueError(f"unknown law {law!r}")
-    return None if report.psi_is_isomorphism else TrialFailure(trial, tuple(seeds), report)
+    count, audit = _FUZZ_LAWS[law]
+    seeds, factors = zip(*(_draw_factor(cfg, trial, position) for position in range(count)))
+    report = audit(kind, *factors)
+    return None if report.psi_is_isomorphism else TrialFailure(trial, seeds, report)
 
 
 def _failure_rank(failure: TrialFailure) -> tuple:
@@ -429,6 +425,8 @@ def fuzz_law(
     edges.
     """
     kind = ProductKind(kind)
+    if law not in _FUZZ_LAWS:
+        raise ValueError(f"unknown law {law!r}")
     tasks = ((kind, law, cfg, t) for t in range(trials))
     # A process pool starts all its workers at the first submit: bound them first.
     jobs = min(jobs, os.cpu_count() or 1, trials)
@@ -443,27 +441,23 @@ def fuzz_law(
     return FuzzReport(kind, law, cfg.seed, trials, failures, minimal)
 
 
-def _bool_text(value: bool | None) -> str:
-    if value is None:
-        return "none"
-    return "true" if value else "false"
+def _text(fields: dict) -> str:
+    """`key: value` lines: True, False and None as true, false and none, a
+    list as its items joined by spaces, anything else via str."""
+    def value(v) -> str:
+        if v is None or isinstance(v, bool):
+            return str(v).lower()
+        return " ".join(map(str, v)) if isinstance(v, list) else str(v)
+
+    return "\n".join(f"{key}: {value(v)}" for key, v in fields.items())
 
 
 def format_law_report(report: LawReport) -> str:
-    """Stable line-oriented rendering of one audit report."""
-    factors = "; ".join(str(s) for s in report.factor_summaries)
-    witness = format_edge(report.witness_edge) if report.witness_edge is not None else "none"
-    lines = [
-        f"law: {report.law}",
-        f"kind: {report.kind.value}",
-        f"factors: {factors}",
-        f"left_count: {report.left_count}",
-        f"right_count: {report.right_count}",
-        f"psi_iso: {_bool_text(report.psi_is_isomorphism)}",
-        f"full_iso: {_bool_text(report.exists_isomorphism)}",
-        f"witness: {witness}",
-    ]
-    return "\n".join(lines)
+    """Stable line-oriented rendering of one audit report: the fields of
+    `law_report_dict`, with law, kind and the factor summaries first."""
+    fields = law_report_dict(report)
+    factors = "; ".join(map(str, report.factor_summaries))
+    return _text({"law": fields["law"], "kind": fields["kind"], "factors": factors} | fields)
 
 
 def law_report_dict(report: LawReport) -> dict:
@@ -483,21 +477,18 @@ def law_report_dict(report: LawReport) -> dict:
 
 
 def format_fuzz_report(report: FuzzReport) -> str:
-    lines = [
-        f"law: {report.law}",
-        f"kind: {report.kind.value}",
-        f"seed: {report.seed}",
-        f"trials: {report.trials}",
-        f"failures: {report.failure_count}",
-        "failing_trials: " + (" ".join(str(f.trial) for f in report.failures) or "none"),
-    ]
-    if report.minimal is not None:
-        lines.append(f"minimal_trial: {report.minimal.trial}")
-        lines.append(
-            "minimal_factor_seeds: " + " ".join(str(s) for s in report.minimal.factor_seeds)
-        )
-        body = format_law_report(report.minimal.report)
-        lines.extend("  " + line for line in body.splitlines())
+    lines = [_text({
+        "law": report.law,
+        "kind": report.kind.value,
+        "seed": report.seed,
+        "trials": report.trials,
+        "failures": report.failure_count,
+        "failing_trials": [f.trial for f in report.failures] or None,
+    })]
+    if (minimal := report.minimal) is not None:
+        seeds = list(minimal.factor_seeds)
+        lines.append(_text({"minimal_trial": minimal.trial, "minimal_factor_seeds": seeds}))
+        lines.extend("  " + line for line in format_law_report(minimal.report).splitlines())
     return "\n".join(lines)
 
 

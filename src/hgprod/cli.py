@@ -21,6 +21,7 @@ from .checker import (
     InfeasibleError,
     LawReport,
     PreconditionError,
+    _text,
     check_associativity,
     check_commutativity,
     check_lemma1,
@@ -33,7 +34,7 @@ from .checker import (
 )
 from .core import format_edge
 from .counting import COUNTABLE_KINDS, closed_form_count, verify_count
-from .hgio import HgParseError, _emit, _parse, parse_hg
+from .hgio import _MAX_LABEL_PAIRS, HgParseError, _emit, _parse, parse_hg
 from .iso import IsoBoundError, _isomorphic
 from .products import ProductKind, ranked_product
 
@@ -80,15 +81,6 @@ def _write(text: str, out: str | None) -> None:
         raise InputError(f"{out}: {exc.strerror or exc}") from exc
 
 
-def _print_report(report: LawReport, as_json: bool) -> int:
-    """Print one law report; the exit code says whether the law held."""
-    if as_json:
-        print(json.dumps(law_report_dict(report), indent=2))
-    else:
-        print(format_law_report(report))
-    return EXIT_OK if report.psi_is_isomorphism else EXIT_VIOLATED
-
-
 @contextlib.contextmanager
 def _any_int_digits():
     """Lift the int-to-str digit limit (Python 3.11+) for the block only."""
@@ -104,11 +96,35 @@ def _any_int_digits():
         sys.set_int_max_str_digits(limit)
 
 
+def _show(as_json: bool, fields: dict, text=None) -> None:
+    """Print a report: its fields as indented JSON, or else its text:
+    `text()` when given, the fields as `key: value` lines otherwise."""
+    with _any_int_digits():  # a closed form can exceed 4,300 digits
+        if as_json:
+            print(json.dumps(fields, indent=2))
+        else:
+            print(text() if text else _text(fields))
+
+
+def _print_report(report: LawReport, as_json: bool) -> int:
+    """Print one law report; the exit code says whether the law held."""
+    _show(as_json, law_report_dict(report), lambda: format_law_report(report))
+    return EXIT_OK if report.psi_is_isomorphism else EXIT_VIOLATED
+
+
 def _cmd_product(args) -> int:
     # The rank parse rejects what validate would: undeclared members, empty edges.
     f1, f2 = (_read(path, _parse_ranked) for path in args.factors)
-    vertices, edges = ranked_product(ProductKind(args.kind), f1, f2)
     names = [f"({a},{b})" for a in f1[0] for b in f2[0]]
+    # A product token is one pair around a token of each factor (and with
+    # no product vertex there is no token).
+    pairs = 1 + sum(max(token.count("(") for token in f[0]) for f in (f1, f2)) if names else 0
+    if pairs > _MAX_LABEL_PAIRS and not args.flatten:
+        raise InputError(
+            f"product labels would have {pairs} pairs, more than the {_MAX_LABEL_PAIRS}"
+            " a .hg file may hold; --flatten names them v0, v1, ..."
+        )
+    vertices, edges = ranked_product(ProductKind(args.kind), f1, f2)
     legend = ""
     if args.flatten:
         # Vertex k in rank order is renamed v{k}.  The new names sort as
@@ -134,12 +150,7 @@ def _cmd_count(args) -> int:
     if report:
         payload["enumerated_count"] = report.enumerated_count
         payload["agreement"] = report.agreement
-    with _any_int_digits():  # a closed form can exceed 4,300 digits
-        if args.json:
-            text = json.dumps(payload, indent=2)
-        else:
-            text = "\n".join(f"{key}: {str(value).lower()}" for key, value in payload.items())
-    print(text)
+    _show(args.json, payload)
     if report and not report.agreement:
         return EXIT_VIOLATED
     return EXIT_OK
@@ -154,15 +165,12 @@ def _cmd_iso(args) -> int:
     witness = None
     if result.isomorphic:
         witness = {f1[0][v]: f2[0][w] for v, w in result.witness.items()}
-    if args.json:
-        payload = {"isomorphic": result.isomorphic, "nodes_explored": result.nodes_explored,
-                   "witness": witness}
-        print(json.dumps(payload, indent=2))
-    else:
-        print(f"isomorphic: {'true' if result.isomorphic else 'false'}")
-        print(f"nodes_explored: {result.nodes_explored}")
-        for k, v in (witness or {}).items():
-            print(f"map: {k} -> {v}")
+    verdict = {"isomorphic": result.isomorphic, "nodes_explored": result.nodes_explored}
+
+    def text() -> str:
+        return _text(verdict) + "".join(f"\nmap: {v} -> {w}" for v, w in (witness or {}).items())
+
+    _show(args.json, verdict | {"witness": witness}, text)
     return EXIT_OK if result.isomorphic else EXIT_VIOLATED
 
 
@@ -195,19 +203,14 @@ def _cmd_lemma1(args) -> int:
 
 def _cmd_counterexample(args) -> int:
     audit = counterexample_audit()
-    if args.json:
-        payload = {
-            "reports": [law_report_dict(r) for r in audit.reports],
-            "witness_edge": format_edge(audit.witness_edge),
-            "witness_image": format_edge(audit.witness_image),
-        }
-        print(json.dumps(payload, indent=2))
-    else:
-        for report in audit.reports:
-            print(format_law_report(report))
-            print()
-        print(f"witness_edge: {format_edge(audit.witness_edge)}")
-        print(f"witness_image_absent_on_right: {format_edge(audit.witness_image)}")
+    edge, image = format_edge(audit.witness_edge), format_edge(audit.witness_image)
+
+    def text() -> str:
+        laws = "".join(format_law_report(r) + "\n\n" for r in audit.reports)
+        return laws + _text({"witness_edge": edge, "witness_image_absent_on_right": image})
+
+    reports = [law_report_dict(r) for r in audit.reports]
+    _show(args.json, {"reports": reports, "witness_edge": edge, "witness_image": image}, text)
     return EXIT_VIOLATED
 
 
@@ -237,10 +240,7 @@ def _cmd_fuzz(args) -> int:
         report = fuzz_law(ProductKind(args.kind), law, cfg, args.trials, jobs=args.jobs)
     except InfeasibleError as exc:
         raise InputError(str(exc)) from exc
-    if args.json:
-        print(json.dumps(fuzz_report_dict(report), indent=2))
-    else:
-        print(format_fuzz_report(report))
+    _show(args.json, fuzz_report_dict(report), lambda: format_fuzz_report(report))
     return EXIT_OK if report.failure_count == 0 else EXIT_VIOLATED
 
 

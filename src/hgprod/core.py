@@ -21,11 +21,15 @@ string-hash seed.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from typing import Iterable, Union
 
-# Characters that would make atom tokens ambiguous in the text format.
-_FORBIDDEN_IN_ATOM = set(",()") | set(" \t\n\r\f\v")
+# Characters that would make atom tokens ambiguous in the text format: a
+# comma, a paren, or any character str.isspace() is true of, since the
+# .hg reader's str.split() and str.splitlines() break at those.  In a str
+# pattern, \s matches exactly those.
+_FORBIDDEN_IN_ATOM = re.compile(r"[\s,()]")
 
 
 @dataclass(frozen=True)
@@ -38,8 +42,7 @@ class Atom:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("atom token must be non-empty")
-        bad = _FORBIDDEN_IN_ATOM.intersection(self.name)
-        if bad:
+        if _FORBIDDEN_IN_ATOM.search(self.name):
             raise ValueError(f"atom token {self.name!r} contains forbidden character")
         object.__setattr__(self, "_hash", hash((self.name,)))
 

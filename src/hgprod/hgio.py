@@ -9,7 +9,9 @@ Format:
 
 Serialization is canonical: vertices in label order, edges sorted by
 (size, member list), members sorted.  Parsing a serialization yields an
-equal hypergraph, and serialize . parse is the identity on canonical text.
+equal hypergraph, and serialize . parse is the identity on canonical text,
+as long as no label has more than _MAX_LABEL_PAIRS pairs: serializing
+writes labels of any size, parsing refuses deeper ones.
 
 Both directions work on rank triples (order, vertices, edges), the shape
 `core._ranked` gives: vertex r is the r-th label in label order, and an

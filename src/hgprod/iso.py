@@ -69,13 +69,6 @@ def regroup_right_to_left(v: Label) -> Label:
     return Pair(Pair(v.left, v.right.left), v.right.right)
 
 
-def regroup_left_to_right(v: Label) -> Label:
-    """((x,y),z) -> (x,(y,z)); inverse of regroup_right_to_left."""
-    if not isinstance(v, Pair) or not isinstance(v.left, Pair):
-        raise ValueError(f"label {format_label(v)} does not have shape ((x,y),z)")
-    return Pair(v.left.left, Pair(v.left.right, v.right))
-
-
 def swap_map(v: Label) -> Label:
     """(l,r) -> (r,l); raises on atoms."""
     if not isinstance(v, Pair):

@@ -369,7 +369,7 @@ def test_fuzz_keeps_no_passing_report(monkeypatch):
         most = max(most, sum(r.psi_is_isomorphism for r in alive))
         return outcome
 
-    monkeypatch.setattr(checker, "check_associativity", tracked_audit)
+    monkeypatch.setitem(checker._FUZZ_LAWS, "associativity", (3, tracked_audit))
     monkeypatch.setattr(checker, "_run_trial", tracked)
     report = fuzz_law(ProductKind.DIRMAX, "associativity", FUZZ_CFG, trials=60)
     assert 0 < report.failure_count < 60
@@ -379,6 +379,15 @@ def test_fuzz_keeps_no_passing_report(monkeypatch):
 def test_fuzz_rejects_unknown_law():
     with pytest.raises(ValueError):
         fuzz_law(ProductKind.DIRMAX, "distributivity", FUZZ_CFG, trials=1)
+
+
+def test_fuzz_rejects_unknown_law_before_any_trial(monkeypatch):
+    """The law is checked on entry: with no trial to run too, and before
+    a factor is drawn."""
+    monkeypatch.setattr(checker, "_draw_factor", None)  # a draw would raise TypeError
+    for trials in (0, 3):
+        with pytest.raises(ValueError, match="unknown law 'assoc'"):
+            fuzz_law(ProductKind.DIRMAX, "assoc", FUZZ_CFG, trials=trials)
 
 
 # ---------------------------------------------------------------- renderers

@@ -1134,6 +1134,24 @@ def test_label_at_the_nesting_bound_round_trips_through_fmt(run, files):
     assert run("fmt", files("bound.hg", text)) == (0, text, "")
 
 
+def test_product_refuses_labels_that_fmt_would_refuse(run, files, tmp_path):
+    """A product token is one pair around a token of each factor, so two
+    150-pair tokens make a 301-pair one; --flatten writes v0..vn instead."""
+    deep = files("deep.hg", f"vertices: c {_nested(150)}\nedge: c {_nested(150)}\n")
+    out = str(tmp_path / "p.hg")
+    code, stdout, err = run("product", "--kind", "cartesian", deep, deep, "-o", out)
+    assert code == 2 and stdout == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "301 pairs" in err and "--flatten" in err
+    assert run("product", "--kind", "cartesian", deep, deep, "--flatten", "-o", out)[0] == 0
+    assert run("fmt", out) == (0, "vertices: v0 v1 v2 v3\nedge: v0 v1\nedge: v0 v2\nedge: v1 v3\nedge: v2 v3\n", "")
+    # At exactly the bound the product is written, and fmt reads it back.
+    a = files("a.hg", f"vertices: {_nested(100)}\n")
+    b = files("b.hg", f"vertices: {_nested(99)}\n")
+    assert run("product", "--kind", "cartesian", a, b, "-o", out) == (0, "", "")
+    assert run("fmt", out)[0] == 0
+
+
 def test_missing_file_exits_2(run, tmp_path):
     code, _, err = run("fmt", str(tmp_path / "absent.hg"))
     assert code == 2

@@ -27,7 +27,7 @@ from hgprod import (
 # ---------------------------------------------------------------- labels
 
 def test_atom_rejects_unusable_names():
-    for bad in ["", "a b", "a,b", "(a", "b)", "a\tb"]:
+    for bad in ["", "a b", "a,b", "(a", "b)", "a\tb", "a\xa0b", "a\u2003b", "a\x1cb", "a\x85b"]:
         with pytest.raises(ValueError):
             Atom(bad)
 

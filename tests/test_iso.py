@@ -23,7 +23,6 @@ from hgprod import (
     hypergraph,
     product,
     ProductKind,
-    regroup_left_to_right,
     regroup_right_to_left,
     swap_map,
 )
@@ -70,20 +69,10 @@ def test_regrouping_shapes():
     right = Pair(x, Pair(y, z))
     left = Pair(Pair(x, y), z)
     assert regroup_right_to_left(right) == left
-    assert regroup_left_to_right(left) == right
-    for fn in (regroup_right_to_left, regroup_left_to_right):
-        with pytest.raises(ValueError):
-            fn(x)
+    with pytest.raises(ValueError):
+        regroup_right_to_left(x)
     with pytest.raises(ValueError):
         regroup_right_to_left(Pair(Pair(x, y), z))
-    with pytest.raises(ValueError):
-        regroup_left_to_right(Pair(x, Pair(y, z)))
-
-
-@given(stg.atom_labels, stg.atom_labels, stg.atom_labels)
-def test_regrouping_round_trips(x, y, z):
-    v = Pair(x, Pair(y, z))
-    assert regroup_left_to_right(regroup_right_to_left(v)) == v
 
 
 def test_regrouping_carries_triple_products(single_edge_factors):
