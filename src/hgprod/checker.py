@@ -16,6 +16,7 @@ import math
 import os
 import random
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .core import (
     Atom,
@@ -31,7 +32,7 @@ from .core import (
     sorted_members,
 )
 from .iso import are_isomorphic, regroup_right_to_left, swap_map
-from .products import ProductKind, dirmax, dirnon, product, strong
+from .products import ProductKind, dirmax, dirnon, product
 
 ASSOCIATIVE_KINDS = frozenset(
     {ProductKind.CARTESIAN, ProductKind.DIRMIN, ProductKind.NORMAL}
@@ -52,8 +53,7 @@ class InfeasibleError(ValueError):
     """Generator constraints admit no hypergraph (or none within the retry budget)."""
 
 
-@dataclass(frozen=True)
-class FactorSummary:
+class FactorSummary(NamedTuple):
     vertices: int
     edges: int
     rank: int
@@ -66,8 +66,19 @@ def summarize(hg: Hypergraph) -> FactorSummary:
     return FactorSummary(len(hg.vertices), len(hg.edges), rank(hg))
 
 
-@dataclass(frozen=True)
-class LawReport:
+# The fields alone: typing.NamedTuple refuses a __new__ in its own body.
+class _LawReportFields(NamedTuple):
+    kind: ProductKind
+    law: str
+    left_count: int
+    right_count: int
+    psi_is_isomorphism: bool
+    exists_isomorphism: bool | None
+    witness_edge: Edge | None
+    factor_summaries: tuple[FactorSummary, ...]
+
+
+class LawReport(_LawReportFields):
     """Outcome of one law audit.
 
     left_count/right_count are the edge counts of the two compared products.
@@ -79,22 +90,21 @@ class LawReport:
     present, is an edge on one side whose image is absent from the other.
     """
 
-    kind: ProductKind
-    law: str
-    left_count: int
-    right_count: int
-    psi_is_isomorphism: bool
-    exists_isomorphism: bool | None
-    witness_edge: Edge | None
-    factor_summaries: tuple[FactorSummary, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.psi_is_isomorphism and self.left_count != self.right_count:
+    def __new__(cls, *args, **kwargs):
+        report = super().__new__(cls, *args, **kwargs)
+        if report.psi_is_isomorphism and report.left_count != report.right_count:
             raise ValueError("map verdict true requires equal edge counts")
-        if self.witness_edge is not None and self.psi_is_isomorphism:
+        if report.witness_edge is not None and report.psi_is_isomorphism:
             raise ValueError("witness edge requires a failed map verdict")
-        if self.exists_isomorphism is False and self.psi_is_isomorphism:
+        if report.exists_isomorphism is False and report.psi_is_isomorphism:
             raise ValueError("map verdict true contradicts non-isomorphism")
+        return report
+
+    @classmethod
+    def _make(cls, values):  # _replace builds through it: check there too
+        return cls(*values)
 
 
 def _mismatch(left, right, forward) -> Edge | None:
@@ -150,12 +160,18 @@ def check_associativity(
     carries the full isomorphism-search verdict; oversized instances skip
     the search (the regrouping check always runs, it is linear).
     """
-    kind = ProductKind(kind)
+    return _associativity(ProductKind(kind), a, b, c, full_iso, iso_bound)[0]
+
+
+def _associativity(kind, a, b, c, full_iso=False, iso_bound=12):
+    """(report, A * (B * C), (A * B) * C): check_associativity's report with
+    the groupings it compared, so counterexample_audit builds each once."""
     left = product(kind, a, product(kind, b, c))
     right = product(kind, product(kind, a, b), c)
-    return _audit(
+    report = _audit(
         kind, "associativity", left, right, regroup_right_to_left, (a, b, c), full_iso, iso_bound,
     )
+    return report, left, right
 
 
 def check_commutativity(kind: ProductKind, a: Hypergraph, b: Hypergraph) -> LawReport:
@@ -188,8 +204,7 @@ def check_lemma1(
     return _audit(ProductKind.DIRMAX, "lemma1", dirmax(g, h), dirnon(g, h), lambda v: v, (g, h))
 
 
-@dataclass(frozen=True)
-class CounterexampleAudit:
+class CounterexampleAudit(NamedTuple):
     """The three non-associativity reports plus the explicit witness edge."""
 
     reports: tuple[LawReport, ...]
@@ -220,9 +235,9 @@ def counterexample_audit() -> CounterexampleAudit:
     right-grouped product.  Any mismatch raises CounterexampleMismatch.
     """
     g, h = counterexample_factors()
-    reports = []
+    reports, groupings = [], {}
     for kind, expected in _EXPECTED_COUNTS.items():
-        report = check_associativity(kind, g, g, h, full_iso=True)
+        report, *groupings[kind] = _associativity(kind, g, g, h, full_iso=True)
         if (report.left_count, report.right_count) != expected:
             raise CounterexampleMismatch(
                 f"{kind.value}: counts ({report.left_count}, {report.right_count})"
@@ -239,12 +254,13 @@ def counterexample_audit() -> CounterexampleAudit:
     witness = frozenset(
         {Pair(a, Pair(a, x)), Pair(a, Pair(b, y)), Pair(b, Pair(b, z))}
     )
-    if witness not in dirmax(g, dirmax(g, h)).edges:
+    left, right = groupings[ProductKind.DIRMAX]
+    if witness not in left.edges:
         raise CounterexampleMismatch("witness edge missing from the left grouping")
     image = frozenset(regroup_right_to_left(v) for v in witness)
-    if image in dirmax(dirmax(g, g), h).edges:
+    if image in right.edges:
         raise CounterexampleMismatch("witness image unexpectedly present (dirmax)")
-    if image in strong(strong(g, g), h).edges:
+    if image in groupings[ProductKind.STRONG][1].edges:
         raise CounterexampleMismatch("witness image unexpectedly present (strong)")
     return CounterexampleAudit(tuple(reports), witness, image)
 
@@ -349,15 +365,13 @@ def derive_seed(master: int, *indices: int) -> int:
     return state
 
 
-@dataclass(frozen=True)
-class TrialFailure:
+class TrialFailure(NamedTuple):
     trial: int
     factor_seeds: tuple[int, ...]
     report: LawReport
 
 
-@dataclass(frozen=True)
-class FuzzReport:
+class FuzzReport(NamedTuple):
     kind: ProductKind
     law: str
     seed: int

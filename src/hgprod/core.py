@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable, NamedTuple, Union
 
 # Characters that would make atom tokens ambiguous in the text format: a
 # comma, a paren, or any character str.isspace() is true of, since the
@@ -118,8 +118,7 @@ def atoms(names: str) -> list[Atom]:
     return [Atom(t) for t in names.split()]
 
 
-@dataclass(frozen=True)
-class Hypergraph:
+class Hypergraph(NamedTuple):
     """A finite hypergraph: a vertex set and a set of edges.
 
     Construction does not validate; use :func:`validate` to check the subset

@@ -17,7 +17,7 @@ of erroring.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import Hypergraph, _ranked
 from .products import ProductKind, ranked_product
@@ -62,8 +62,7 @@ _FORMULAS = {
 COUNTABLE_KINDS = frozenset(_FORMULAS)
 
 
-@dataclass(frozen=True)
-class CountReport:
+class CountReport(NamedTuple):
     """Formula value vs. constructive enumeration for one product instance."""
 
     kind: ProductKind

@@ -25,8 +25,7 @@ by commutativity audits.  Both act structurally on labels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .core import Hypergraph, Label, Pair, _ranked, format_label
 
@@ -35,19 +34,29 @@ class IsoBoundError(ValueError):
     """Instance too large for the search bound."""
 
 
-@dataclass(frozen=True)
-class IsoResult:
-    """The verdict, a witness mapping exactly when isomorphic, and the number
-    of individualisations the search tried (0 when a screen or the first
-    colour refinement decided)."""
-
+# The fields alone: typing.NamedTuple refuses a __new__ in its own body.
+class _IsoResultFields(NamedTuple):
     isomorphic: bool
     witness: dict | None
     nodes_explored: int
 
-    def __post_init__(self) -> None:
-        if self.isomorphic != (self.witness is not None):
+
+class IsoResult(_IsoResultFields):
+    """The verdict, a witness mapping exactly when isomorphic, and the number
+    of individualisations the search tried (0 when a screen or the first
+    colour refinement decided)."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        result = super().__new__(cls, *args, **kwargs)
+        if result.isomorphic != (result.witness is not None):
             raise ValueError("witness must be present exactly when isomorphic")
+        return result
+
+    @classmethod
+    def _make(cls, values):  # _replace builds through it: check there too
+        return cls(*values)
 
 
 def apply_mapping(hg: Hypergraph, phi: dict) -> Hypergraph:

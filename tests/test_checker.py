@@ -1,6 +1,5 @@
 import dataclasses
 import json
-import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -354,25 +353,34 @@ def test_fuzz_is_deterministic_and_parallel_invariant():
 def test_fuzz_keeps_no_passing_report(monkeypatch):
     """A passing report dies with its trial: none is alive when a trial
     returns, so none is kept or pickled, whatever the trial count."""
-    alive = weakref.WeakSet()
-    most = 0
-    run_trial, audit = checker._run_trial, checker.check_associativity
+    alive = most = 0  # passing reports alive now, and at most after a trial
+    run_trial = checker._run_trial
 
-    def tracked_audit(*args, **kwargs):
-        report = audit(*args, **kwargs)
-        alive.add(report)
-        return report
+    class CountedReport(checker.LawReport):
+        # A tuple takes no weak reference: count lives from __new__ to __del__.
+        __slots__ = ()
+
+        def __new__(cls, *args, **kwargs):
+            nonlocal alive
+            report = super().__new__(cls, *args, **kwargs)
+            alive += report.psi_is_isomorphism
+            return report
+
+        def __del__(self):
+            nonlocal alive
+            alive -= self.psi_is_isomorphism
 
     def tracked(task):
         nonlocal most
         outcome = run_trial(task)
-        most = max(most, sum(r.psi_is_isomorphism for r in alive))
+        most = max(most, alive)
         return outcome
 
-    monkeypatch.setitem(checker._FUZZ_LAWS, "associativity", (3, tracked_audit))
+    monkeypatch.setattr(checker, "LawReport", CountedReport)
     monkeypatch.setattr(checker, "_run_trial", tracked)
     report = fuzz_law(ProductKind.DIRMAX, "associativity", FUZZ_CFG, trials=60)
     assert 0 < report.failure_count < 60
+    assert all(type(f.report) is CountedReport for f in report.failures)
     assert most == 0
 
 
