@@ -12,6 +12,7 @@ diverging counts.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import random
@@ -312,6 +313,12 @@ def _sample_without_replacement(rng: random.Random, pool: list, k: int) -> list:
     return pool[:k]
 
 
+@functools.cache
+def _vertex(i: int) -> Atom:
+    """The generator's i-th vertex: one Atom per process, shared by every draw."""
+    return Atom(f"v{i}")
+
+
 def random_hypergraph(cfg: GeneratorConfig) -> Hypergraph:
     """Deterministic function of cfg.seed; identical seeds give identical
     hypergraphs.  Edge vertex-sets are sampled uniformly without replacement,
@@ -320,7 +327,7 @@ def random_hypergraph(cfg: GeneratorConfig) -> Hypergraph:
     """
     rng = random.Random(cfg.seed)
     n = rng.randint(*cfg.vertex_count)
-    vertices = [Atom(f"v{i}") for i in range(n)]
+    vertices = [_vertex(i) for i in range(n)]
     size_lo, size_hi = cfg.edge_size
     if cfg.require_simple:
         size_lo = max(size_lo, 2)

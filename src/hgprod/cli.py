@@ -66,11 +66,6 @@ def _read(path: str, parse):
 _parse_ranked = functools.partial(_parse, ranked=True)
 
 
-def _load(path: str):
-    # parse_hg rejects an undeclared edge member and an empty edge itself.
-    return _read(path, parse_hg)
-
-
 def _write(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -140,8 +135,8 @@ def _cmd_product(args) -> int:
 
 
 def _cmd_count(args) -> int:
-    h1 = _load(args.factors[0])
-    h2 = _load(args.factors[1])
+    # parse_hg rejects an undeclared edge member and an empty edge itself.
+    h1, h2 = (_read(path, parse_hg) for path in args.factors)
     kind = ProductKind(args.kind)
     # Only --verify enumerates the product; the closed form alone is cheap.
     report = verify_count(kind, h1, h2) if args.verify else None
@@ -159,23 +154,18 @@ def _cmd_count(args) -> int:
 def _cmd_iso(args) -> int:
     if args.max_vertices < 0:
         raise InputError("max-vertices must be non-negative")
-    # The rank parse orders tokens as labels, and the witness lists ranks in order.
+    # The rank parse orders tokens as labels, so the witness maps tokens to
+    # tokens in that order.
     f1, f2 = (_read(path, _parse_ranked) for path in args.files)
     result = _isomorphic(f1, f2, args.max_vertices)
-    witness = None
-    if result.isomorphic:
-        witness = {f1[0][v]: f2[0][w] for v, w in result.witness.items()}
     verdict = {"isomorphic": result.isomorphic, "nodes_explored": result.nodes_explored}
-
-    def text() -> str:
-        return _text(verdict) + "".join(f"\nmap: {v} -> {w}" for v, w in (witness or {}).items())
-
-    _show(args.json, verdict | {"witness": witness}, text)
+    maps = "".join(f"\nmap: {v} -> {w}" for v, w in (result.witness or {}).items())
+    _show(args.json, verdict | {"witness": result.witness}, lambda: _text(verdict) + maps)
     return EXIT_OK if result.isomorphic else EXIT_VIOLATED
 
 
 def _cmd_assoc(args) -> int:
-    a, b, c = (_load(p) for p in args.factors)
+    a, b, c = (_read(path, parse_hg) for path in args.factors)
     report = check_associativity(ProductKind(args.kind), a, b, c, full_iso=args.full_iso)
     if args.full_iso and report.exists_isomorphism is None:
         print(
@@ -186,14 +176,13 @@ def _cmd_assoc(args) -> int:
 
 
 def _cmd_commut(args) -> int:
-    a, b = (_load(p) for p in args.factors)
+    a, b = (_read(path, parse_hg) for path in args.factors)
     report = check_commutativity(ProductKind(args.kind), a, b)
     return _print_report(report, args.json)
 
 
 def _cmd_lemma1(args) -> int:
-    g = _load(args.factors[0])
-    h = _load(args.factors[1])
+    g, h = (_read(path, parse_hg) for path in args.factors)
     try:
         report = check_lemma1(g, h)
     except PreconditionError as exc:
@@ -329,10 +318,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except IsoBoundError as exc:
+    except (InputError, IsoBoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -101,8 +101,7 @@ def format_label(v: Label) -> str:
 
 def edge_key(e: Edge):
     """Sort key for edges: by size, then by the sorted member list."""
-    members = sorted(e, key=label_key)
-    return (len(e), [label_key(m) for m in members])
+    return (len(e), sorted(map(label_key, e)))
 
 
 def sorted_members(e: Edge) -> list[Label]:

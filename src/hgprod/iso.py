@@ -15,8 +15,10 @@ before, and a child starts from its parent's equitable colouring at the
 edges of the individualised pair.  A cell holding unequal numbers of
 vertices of the two hypergraphs refutes a branch; a discrete leaf is
 verified edge by edge, so every witness is a checked bijection.  Instances
-beyond a vertex bound are refused unsearched.  are_isomorphic screens the
-counts before it ranks, and maps the rank witness back to labels.
+beyond a vertex bound are refused unsearched.  The witness maps the names
+the two triples carry, first to second in rank order: labels for
+are_isomorphic, which screens the counts before it ranks, and tokens for
+``hgprod iso``.
 
 Also here: the regrouping map (x,(y,z)) <-> ((x,y),z) between the two
 groupings of a triple product, and the coordinate swap (x,y) -> (y,x) used
@@ -95,18 +97,13 @@ def are_isomorphic(h1: Hypergraph, h2: Hypergraph, max_vertices: int = 12) -> Is
     """
     if len(h1.vertices) != len(h2.vertices) or len(h1.edges) != len(h2.edges):
         return IsoResult(False, None, 0)  # before ranking: a mismatch costs no sort
-    f1, f2 = _ranked(h1), _ranked(h2)
-    result = _isomorphic(f1, f2, max_vertices)
-    if not result.isomorphic:
-        return result
-    witness = {f1[0][v]: f2[0][w] for v, w in result.witness.items()}
-    return IsoResult(True, witness, result.nodes_explored)
+    return _isomorphic(_ranked(h1), _ranked(h2), max_vertices)
 
 
 def _isomorphic(f1: tuple, f2: tuple, max_vertices: int) -> IsoResult:
     """are_isomorphic on two rank triples of the shape `core._ranked` gives;
-    the witness maps vertex ranks of the first to those of the second, in
-    rank order."""
+    the witness maps the names the triples carry, order1[v] -> order2[w],
+    in rank order."""
     (order1, vertices1, edges1), (order2, vertices2, edges2) = f1, f2
     n = len(vertices1)
     if n != len(vertices2) or len(edges1) != len(edges2):
@@ -207,5 +204,5 @@ def _isomorphic(f1: tuple, f2: tuple, max_vertices: int) -> IsoResult:
         image = {colour[w]: w for w in range(n, 2 * n)}
         phi = [image[colour[v]] for v in range(n)]
         if all(frozenset(phi[v] for v in e) in targets for e in edges1):
-            return IsoResult(True, {v: w - n for v, w in enumerate(phi)}, nodes)
+            return IsoResult(True, {order1[v]: order2[w - n] for v, w in enumerate(phi)}, nodes)
     return IsoResult(False, None, nodes)

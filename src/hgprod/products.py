@@ -19,8 +19,8 @@ the projection constraints make that exact.  Emitted edges always live in
 e1 x e2 regardless of which factor edge is larger, and edge sets are
 deduplicated across generating pairs (set semantics).  One table, `_PARTS`,
 names each kind's table builder and whether it adds the cartesian edges;
-`product`, `ranked_product` and `edge_pair_product` all dispatch through it,
-and the six named constructors call `product`.
+`product` and `ranked_product` dispatch through it, and the six named
+constructors and `edge_pair_product` call `product`.
 
 Up to relabelling, the edges a pair (e1, e2) adds to a direct kind depend
 only on |e1| and |e2|.  So each kind builds one position table per size
@@ -49,7 +49,7 @@ import operator
 from enum import Enum
 from typing import Iterable, Iterator, KeysView
 
-from .core import Edge, Hypergraph, Pair
+from .core import Edge, Hypergraph, Pair, hypergraph
 
 
 class ProductKind(str, Enum):
@@ -64,17 +64,14 @@ class ProductKind(str, Enum):
 DIRECT_KINDS = frozenset({ProductKind.DIRMIN, ProductKind.DIRMAX, ProductKind.DIRNON})
 
 
-def _cells(xs, ys) -> dict:
-    """The product's one Pair per cell: ``cells[x][y] is Pair(x, y)``."""
-    return {x: {y: Pair(x, y) for y in ys} for x in xs}
-
-
 def _product_cells(h1: Hypergraph, h2: Hypergraph) -> tuple[dict, frozenset]:
-    """The cell table, and the vertex set V1 x V2 made of its pairs.  Edge
-    members outside the vertex set get cells too, so an unvalidated factor
-    still multiplies as its edges say.  Rows list V2's cells first."""
+    """The product's one Pair per cell, ``cells[x][y] is Pair(x, y)``, and
+    the vertex set V1 x V2 made of its pairs.  Edge members outside the
+    vertex set get cells too, so an unvalidated factor still multiplies as
+    its edges say.  Rows list V2's cells first."""
     v2 = h2.vertices
-    cells = _cells(h1.vertices.union(*h1.edges), [*v2, *v2.union(*h2.edges).difference(v2)])
+    ys = [*v2, *v2.union(*h2.edges).difference(v2)]
+    cells = {x: {y: Pair(x, y) for y in ys} for x in h1.vertices.union(*h1.edges)}
     rows = (itertools.islice(cells[x].values(), len(v2)) for x in h1.vertices)
     return cells, frozenset(itertools.chain.from_iterable(rows))
 
@@ -184,7 +181,7 @@ def edge_pair_product(e1: Edge, e2: Edge, kind: ProductKind) -> set:
         raise ValueError(f"kind {kind.value} has no single-pair edge set")
     if not e1 or not e2:
         raise ValueError("factor edges must be non-empty")
-    return set(map(frozenset, _edges(kind, _cells(e1, e2), (), [e1], (), [e2])))
+    return set(product(kind, hypergraph(e1, [e1]), hypergraph(e2, [e2])).edges)
 
 
 def product(kind: ProductKind, h1: Hypergraph, h2: Hypergraph) -> Hypergraph:

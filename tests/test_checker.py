@@ -242,6 +242,15 @@ def test_generator_is_a_function_of_the_seed():
     assert random_hypergraph(BASE_CFG) == random_hypergraph(BASE_CFG)
 
 
+def test_generator_draws_share_their_vertex_atoms():
+    """Every draw takes its atoms from one table, so the failures fuzz_law
+    keeps share them instead of holding a copy each."""
+    first, second = (random_hypergraph(dataclasses.replace(BASE_CFG, seed=seed)) for seed in (1, 2))
+    v0 = {v.name: v for v in first.vertices}["v0"]
+    assert {v.name: v for v in second.vertices}["v0"] is v0
+    assert all(m is v0 for e in second.edges for m in e if m.name == "v0")
+
+
 def test_generator_respects_ranges():
     for seed in range(40):
         cfg = dataclasses.replace(BASE_CFG, seed=seed)

@@ -996,6 +996,18 @@ def test_parse_hg_and_fmt_agree_on_keyword_and_blank_lines(run, files, text, can
     assert run("fmt", path) == (2, "", f"error: {path}: line {line}: {message}\n")
 
 
+def _refuse_labels(monkeypatch, command: str) -> None:
+    """Make building an Atom or a Pair fail, however labels store their
+    fields: patch the class's own __new__, or its __init__ when it inherits
+    object.__new__ (CPython keeps a patched __new__ slot after the patch is
+    undone, and object.__new__ then refuses the label's arguments)."""
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{command} built a label")
+
+    for cls in (Atom, Pair):
+        monkeypatch.setattr(cls, "__new__" if "__new__" in vars(cls) else "__init__", refuse)
+
+
 def test_fmt_builds_no_label(run, files, monkeypatch):
     g = files("g.hg", "vertices: (a,b) c ((d,e),f)\nedge: (a,b) c\nedge: ((d,e),f)\n")
     h = files("h.hg", "vertices: x (y,(z,w)) v\nedge: x (y,(z,w)) v\n")
@@ -1007,11 +1019,7 @@ def test_fmt_builds_no_label(run, files, monkeypatch):
     messy = files("messy.hg", "\n".join(["vertices: " + " ".join(reversed(vertices.split()[1:])), *reversed(edges)]))
     assert len(edges) > 10 and canon.count("((") > 10
 
-    def refuse(self):
-        raise AssertionError("fmt built a label")
-
-    monkeypatch.setattr(Atom, "__post_init__", refuse)
-    monkeypatch.setattr(Pair, "__post_init__", refuse)
+    _refuse_labels(monkeypatch, "fmt")
     assert run("fmt", product_file) == (0, canon, "")
     assert run("fmt", messy) == (0, canon, "")
 
@@ -1062,11 +1070,7 @@ def test_product_builds_no_label(run, files, monkeypatch):
     g = files("g.hg", "vertices: (a,b) c ((d,e),f)\nedge: (a,b) ((d,e),f)\n")
     h = files("h.hg", "vertices: x (y,(z,w)) v u\nedge: x (y,(z,w))\n")
 
-    def refuse(self):
-        raise AssertionError("product built a label")
-
-    monkeypatch.setattr(Atom, "__post_init__", refuse)
-    monkeypatch.setattr(Pair, "__post_init__", refuse)
+    _refuse_labels(monkeypatch, "product")
     assert run("product", "--kind", "strong", g, h) == (0, PRODUCT_OF_NESTED, "")
     assert run("product", "--kind", "strong", "--flatten", g, h) == (0, FLAT_PRODUCT_OF_NESTED, "")
 
@@ -1103,11 +1107,7 @@ ISO_OF_NESTED = [
 def test_iso_builds_no_label(run, files, monkeypatch):
     paths = {name: files(name, text) for name, text in ISO_NESTED_FILES.items()}
 
-    def refuse(self):
-        raise AssertionError("iso built a label")
-
-    monkeypatch.setattr(Atom, "__post_init__", refuse)
-    monkeypatch.setattr(Pair, "__post_init__", refuse)
+    _refuse_labels(monkeypatch, "iso")
     for pair, flags, code, stdout in ISO_OF_NESTED:
         assert run("iso", *map(paths.__getitem__, pair), *flags) == (code, stdout, "")
 

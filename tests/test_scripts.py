@@ -26,6 +26,21 @@ def test_run_counterexample_lists_both_groupings():
     assert "left grouping edges (36):" in out and "right grouping edges (12):" in out
 
 
+def test_equivalence_slice_does_not_depend_on_the_hash_seed():
+    """A slice of every section of the corpus, under two hash seeds at once:
+    the outputs agree byte for byte.  No digest is pinned, so an intended
+    change of behaviour never has to edit this test."""
+    env = {**os.environ, "PYTHONPATH": str(Path(hgprod.__file__).parents[1])}
+    argv = [sys.executable, str(ROOT / "scripts" / "equivalence.py"), "--seed", "3", "--quick"]
+    runs = [subprocess.Popen(argv, env={**env, "PYTHONHASHSEED": seed}, stdout=subprocess.PIPE,
+                             stderr=subprocess.PIPE, text=True) for seed in ("0", "1")]
+    (out0, err0), (out1, err1) = (run.communicate(timeout=120) for run in runs)
+    assert [run.returncode for run in runs] == [0, 0] and err0 == err1 == ""
+    sections = {line.split(" ", 1)[0] for line in out0.splitlines()}
+    assert sections == {"assoc", "commut", "lemma1", "random", "iso", "text", "pairs", "cli"}
+    assert out0 == out1
+
+
 def test_associativity_sweep_prints_the_verdict_table():
     result = _script("associativity_sweep.py", "--max-vertices", "2", "--trials", "20")
     assert result.returncode == 1 and result.stderr == ""
