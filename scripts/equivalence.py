@@ -30,8 +30,9 @@ on equal trees agree byte for byte under any PYTHONHASHSEED.  The corpus:
   cli      in-process `hgprod` runs of every command, in text and --json,
            on messy files (comments, padding, repeated tokens, nested
            labels) and on malformed ones giving each parse error; fuzz at
-           --jobs 1 and 2; argument errors.  Each line holds the argv, the
-           exit code, stdout and stderr.
+           --jobs 1 and 2; argument errors, a file short, and every
+           command's --help.  Each line holds the argv, the exit code,
+           stdout and stderr.
 
 The script builds its inputs with its own generators.  --quick prints a
 slice of every section in a few seconds.
@@ -328,6 +329,11 @@ def _cli_runs(seed: int, quick: bool):
     yield ["count", "--kind", "dirmin", "g.hg", "h.hg"]
     yield ["iso", "g.hg"]
     yield ["lemma1", "g.hg", "g.hg", "--json"]
+    for command in ("product", "count", "iso", "assoc", "commut", "lemma1", "counterexample", "fuzz", "fmt"):
+        yield [command, "--help"]
+    for argv in (["product", "--kind", "dirmax"], ["count", "--kind", "dirmax"], ["iso"],
+                 ["assoc", "--kind", "dirmax", "h.hg"], ["commut", "--kind", "dirmax"], ["lemma1"]):
+        yield [*argv, "h.hg"]  # one file short
 
 
 def cli_sections(seed: int, quick: bool):

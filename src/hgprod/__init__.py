@@ -1,143 +1,17 @@
-"""Hypergraph products, exact edge counts, isomorphism testing and law audits."""
+"""Hypergraph products, exact edge counts, isomorphism testing and law audits.
 
-from .core import (
-    Atom,
-    Edge,
-    Hypergraph,
-    Label,
-    Pair,
-    atoms,
-    edge_key,
-    format_edge,
-    format_label,
-    from_tokens,
-    hypergraph,
-    is_simple,
-    label_key,
-    rank,
-    sorted_members,
-    validate,
-)
-from .counting import (
-    COUNTABLE_KINDS,
-    CountReport,
-    cartesian_edge_count,
-    dirmax_edge_count,
-    stirling2,
-    strong_edge_count,
-    verify_count,
-)
-from .checker import (
-    ASSOCIATIVE_KINDS,
-    CounterexampleAudit,
-    CounterexampleMismatch,
-    FactorSummary,
-    FuzzReport,
-    GeneratorConfig,
-    InfeasibleError,
-    LawReport,
-    PreconditionError,
-    TrialFailure,
-    check_associativity,
-    check_commutativity,
-    check_lemma1,
-    counterexample_audit,
-    counterexample_factors,
-    derive_seed,
-    format_fuzz_report,
-    format_law_report,
-    fuzz_law,
-    fuzz_report_dict,
-    law_report_dict,
-    random_hypergraph,
-    summarize,
-)
-from .hgio import HgParseError, parse_hg, parse_label, serialize_hg
-from .iso import (
-    IsoBoundError,
-    IsoResult,
-    apply_mapping,
-    are_isomorphic,
-    regroup_right_to_left,
-    swap_map,
-)
-from .products import (
-    DIRECT_KINDS,
-    ProductKind,
-    cartesian,
-    dirmax,
-    dirmin,
-    dirnon,
-    edge_pair_product,
-    normal,
-    product,
-    strong,
-)
+Each module declares the public names it defines in its own ``__all__``;
+the package republishes them all.
+"""
 
-__all__ = [
-    "ASSOCIATIVE_KINDS",
-    "Atom",
-    "COUNTABLE_KINDS",
-    "CountReport",
-    "CounterexampleAudit",
-    "CounterexampleMismatch",
-    "DIRECT_KINDS",
-    "Edge",
-    "FactorSummary",
-    "FuzzReport",
-    "GeneratorConfig",
-    "HgParseError",
-    "Hypergraph",
-    "InfeasibleError",
-    "IsoBoundError",
-    "IsoResult",
-    "Label",
-    "LawReport",
-    "Pair",
-    "PreconditionError",
-    "ProductKind",
-    "TrialFailure",
-    "apply_mapping",
-    "are_isomorphic",
-    "atoms",
-    "cartesian",
-    "cartesian_edge_count",
-    "check_associativity",
-    "check_commutativity",
-    "check_lemma1",
-    "counterexample_audit",
-    "counterexample_factors",
-    "derive_seed",
-    "dirmax",
-    "dirmax_edge_count",
-    "dirmin",
-    "dirnon",
-    "edge_key",
-    "edge_pair_product",
-    "format_edge",
-    "format_fuzz_report",
-    "format_label",
-    "format_law_report",
-    "from_tokens",
-    "fuzz_law",
-    "fuzz_report_dict",
-    "hypergraph",
-    "is_simple",
-    "label_key",
-    "law_report_dict",
-    "normal",
-    "parse_hg",
-    "parse_label",
-    "product",
-    "random_hypergraph",
-    "rank",
-    "regroup_right_to_left",
-    "serialize_hg",
-    "sorted_members",
-    "stirling2",
-    "strong",
-    "strong_edge_count",
-    "summarize",
-    "swap_map",
-    "validate",
-]
+from . import checker, core, counting, hgio, iso, products
+from .checker import *
+from .core import *
+from .counting import *
+from .hgio import *
+from .iso import *
+from .products import *
+
+__all__ = sorted(
+    [*checker.__all__, *core.__all__, *counting.__all__, *hgio.__all__, *iso.__all__, *products.__all__]
+)

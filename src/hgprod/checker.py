@@ -6,11 +6,40 @@ Associativity is checked in two stages.  The cheap stage applies the
 regrouping map (x,(y,z)) -> ((x,y),z) edge-wise to one grouping and compares
 edge sets with the other; for the associative kinds this map is itself an
 isomorphism.  The optional second stage runs the full isomorphism search,
-bounded by vertex count.  Failures carry a concrete witness edge, not just
-diverging counts.
+bounded by vertex count.  Commutativity is checked the same way through the
+coordinate swap (x,y) -> (y,x).  Both maps act structurally on labels.
+Failures carry a concrete witness edge, not just diverging counts.
 """
 
 from __future__ import annotations
+
+__all__ = [
+    "ASSOCIATIVE_KINDS",
+    "CounterexampleAudit",
+    "CounterexampleMismatch",
+    "FactorSummary",
+    "FuzzReport",
+    "GeneratorConfig",
+    "InfeasibleError",
+    "LawReport",
+    "PreconditionError",
+    "TrialFailure",
+    "check_associativity",
+    "check_commutativity",
+    "check_lemma1",
+    "counterexample_audit",
+    "counterexample_factors",
+    "derive_seed",
+    "format_fuzz_report",
+    "format_law_report",
+    "fuzz_law",
+    "fuzz_report_dict",
+    "law_report_dict",
+    "random_hypergraph",
+    "regroup_right_to_left",
+    "summarize",
+    "swap_map",
+]
 
 import functools
 import math
@@ -23,6 +52,7 @@ from .core import (
     Atom,
     Edge,
     Hypergraph,
+    Label,
     Pair,
     edge_key,
     format_label,
@@ -32,7 +62,7 @@ from .core import (
     rank,
     sorted_members,
 )
-from .iso import are_isomorphic, regroup_right_to_left, swap_map
+from .iso import _SEARCH_BOUND, are_isomorphic
 from .products import ProductKind, dirmax, dirnon, product
 
 ASSOCIATIVE_KINDS = frozenset(
@@ -108,6 +138,20 @@ class LawReport(_LawReportFields):
         return cls(*values)
 
 
+def regroup_right_to_left(v: Label) -> Label:
+    """(x,(y,z)) -> ((x,y),z); raises on any other nesting shape."""
+    if not isinstance(v, Pair) or not isinstance(v.right, Pair):
+        raise ValueError(f"label {format_label(v)} does not have shape (x,(y,z))")
+    return Pair(Pair(v.left, v.right.left), v.right.right)
+
+
+def swap_map(v: Label) -> Label:
+    """(l,r) -> (r,l); raises on atoms."""
+    if not isinstance(v, Pair):
+        raise ValueError(f"label {format_label(v)} is not a pair")
+    return Pair(v.right, v.left)
+
+
 def _mismatch(left, right, forward) -> Edge | None:
     """None when the label map forward carries the left edge set exactly
     onto the right one; otherwise the smallest edge, by canonical order,
@@ -124,7 +168,7 @@ def _mismatch(left, right, forward) -> Edge | None:
 
 def _audit(
     kind: ProductKind, law: str, left: Hypergraph, right: Hypergraph, forward,
-    factors: tuple[Hypergraph, ...], full_iso: bool = False, iso_bound: int = 12,
+    factors: tuple[Hypergraph, ...], full_iso: bool = False, iso_bound: int = _SEARCH_BOUND,
 ) -> LawReport:
     """Compare two products through the label map `forward`, optionally
     run the full isomorphism search, and report."""
@@ -153,7 +197,7 @@ def check_associativity(
     b: Hypergraph,
     c: Hypergraph,
     full_iso: bool = False,
-    iso_bound: int = 12,
+    iso_bound: int = _SEARCH_BOUND,
 ) -> LawReport:
     """Compare A * (B * C) with (A * B) * C through the regrouping map.
 
@@ -164,7 +208,7 @@ def check_associativity(
     return _associativity(ProductKind(kind), a, b, c, full_iso, iso_bound)[0]
 
 
-def _associativity(kind, a, b, c, full_iso=False, iso_bound=12):
+def _associativity(kind, a, b, c, full_iso=False, iso_bound=_SEARCH_BOUND):
     """(report, A * (B * C), (A * B) * C): check_associativity's report with
     the groupings it compared, so counterexample_audit builds each once."""
     left = product(kind, a, product(kind, b, c))

@@ -35,7 +35,7 @@ from .checker import (
 from .core import format_edge
 from .counting import COUNTABLE_KINDS, closed_form_count, verify_count
 from .hgio import _MAX_LABEL_PAIRS, HgParseError, _emit, _parse, parse_hg
-from .iso import IsoBoundError, _isomorphic
+from .iso import _SEARCH_BOUND, IsoBoundError, _isomorphic
 from .products import ProductKind, ranked_product
 
 EXIT_OK = 0
@@ -252,39 +252,39 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("product", help="compute a product of two .hg files")
     p.add_argument("--kind", required=True, choices=_ALL_KINDS)
-    p.add_argument("factors", nargs=2, metavar=("A.hg", "B.hg"))
+    p.add_argument("factors", nargs=2, metavar="FILE.hg")
     p.add_argument("-o", "--output", default=None, metavar="OUT.hg")
     p.add_argument("--flatten", action="store_true", help="rename vertices v0..vn with a legend")
     p.set_defaults(func=_cmd_product)
 
     p = sub.add_parser("count", help="closed-form edge count, optionally verified")
     p.add_argument("--kind", required=True, choices=_COUNT_KINDS)
-    p.add_argument("factors", nargs=2, metavar=("A.hg", "B.hg"))
+    p.add_argument("factors", nargs=2, metavar="FILE.hg")
     p.add_argument("--verify", action="store_true", help="also enumerate and compare")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_count)
 
     p = sub.add_parser("iso", help="isomorphism test with witness")
-    p.add_argument("files", nargs=2, metavar=("A.hg", "B.hg"))
-    p.add_argument("--max-vertices", type=int, default=12)
+    p.add_argument("files", nargs=2, metavar="FILE.hg")
+    p.add_argument("--max-vertices", type=int, default=_SEARCH_BOUND)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_iso)
 
     p = sub.add_parser("assoc", help="associativity audit of a product kind")
     p.add_argument("--kind", required=True, choices=_ALL_KINDS)
-    p.add_argument("factors", nargs=3, metavar=("A.hg", "B.hg", "C.hg"))
+    p.add_argument("factors", nargs=3, metavar="FILE.hg")
     p.add_argument("--full-iso", action="store_true", help="also run the full isomorphism search")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_assoc)
 
     p = sub.add_parser("commut", help="commutativity audit of a product kind")
     p.add_argument("--kind", required=True, choices=_ALL_KINDS)
-    p.add_argument("factors", nargs=2, metavar=("A.hg", "B.hg"))
+    p.add_argument("factors", nargs=2, metavar="FILE.hg")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_commut)
 
     p = sub.add_parser("lemma1", help="dirmax vs dirnon edge-set equality audit")
-    p.add_argument("factors", nargs=2, metavar=("G.hg", "H.hg"))
+    p.add_argument("factors", nargs=2, metavar="FILE.hg")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_lemma1)
 

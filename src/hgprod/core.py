@@ -20,6 +20,25 @@ string-hash seed.
 
 from __future__ import annotations
 
+__all__ = [
+    "Atom",
+    "Edge",
+    "Hypergraph",
+    "Label",
+    "Pair",
+    "atoms",
+    "edge_key",
+    "format_edge",
+    "format_label",
+    "from_tokens",
+    "hypergraph",
+    "is_simple",
+    "label_key",
+    "rank",
+    "sorted_members",
+    "validate",
+]
+
 import itertools
 import re
 from dataclasses import dataclass

@@ -16,6 +16,16 @@ of erroring.
 
 from __future__ import annotations
 
+__all__ = [
+    "COUNTABLE_KINDS",
+    "CountReport",
+    "cartesian_edge_count",
+    "dirmax_edge_count",
+    "stirling2",
+    "strong_edge_count",
+    "verify_count",
+]
+
 import math
 from typing import NamedTuple
 

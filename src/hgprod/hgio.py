@@ -28,6 +28,13 @@ ascending runs, which its sorts merge in about linear time.
 
 from __future__ import annotations
 
+__all__ = [
+    "HgParseError",
+    "parse_hg",
+    "parse_label",
+    "serialize_hg",
+]
+
 from .core import Atom, Hypergraph, Label, Pair, _ranked, format_label
 
 # Error messages quote at most this many characters of a token or line.

@@ -19,17 +19,24 @@ beyond a vertex bound are refused unsearched.  The witness maps the names
 the two triples carry, first to second in rank order: labels for
 are_isomorphic, which screens the counts before it ranks, and tokens for
 ``hgprod iso``.
-
-Also here: the regrouping map (x,(y,z)) <-> ((x,y),z) between the two
-groupings of a triple product, and the coordinate swap (x,y) -> (y,x) used
-by commutativity audits.  Both act structurally on labels.
 """
 
 from __future__ import annotations
 
+__all__ = [
+    "IsoBoundError",
+    "IsoResult",
+    "apply_mapping",
+    "are_isomorphic",
+]
+
 from typing import Iterator, NamedTuple
 
-from .core import Hypergraph, Label, Pair, _ranked, format_label
+from .core import Hypergraph, _ranked
+
+# The default vertex bound of a search: are_isomorphic's, the audits' and
+# ``hgprod iso``'s.
+_SEARCH_BOUND = 12
 
 
 class IsoBoundError(ValueError):
@@ -73,21 +80,7 @@ def apply_mapping(hg: Hypergraph, phi: dict) -> Hypergraph:
     )
 
 
-def regroup_right_to_left(v: Label) -> Label:
-    """(x,(y,z)) -> ((x,y),z); raises on any other nesting shape."""
-    if not isinstance(v, Pair) or not isinstance(v.right, Pair):
-        raise ValueError(f"label {format_label(v)} does not have shape (x,(y,z))")
-    return Pair(Pair(v.left, v.right.left), v.right.right)
-
-
-def swap_map(v: Label) -> Label:
-    """(l,r) -> (r,l); raises on atoms."""
-    if not isinstance(v, Pair):
-        raise ValueError(f"label {format_label(v)} is not a pair")
-    return Pair(v.right, v.left)
-
-
-def are_isomorphic(h1: Hypergraph, h2: Hypergraph, max_vertices: int = 12) -> IsoResult:
+def are_isomorphic(h1: Hypergraph, h2: Hypergraph, max_vertices: int = _SEARCH_BOUND) -> IsoResult:
     """Decide whether two hypergraphs are isomorphic.
 
     Count and edge-size screens first; only when they agree does the

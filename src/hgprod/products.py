@@ -43,6 +43,19 @@ and unsorted, each edge pair's edges in ascending order.
 
 from __future__ import annotations
 
+__all__ = [
+    "DIRECT_KINDS",
+    "ProductKind",
+    "cartesian",
+    "dirmax",
+    "dirmin",
+    "dirnon",
+    "edge_pair_product",
+    "normal",
+    "product",
+    "strong",
+]
+
 import functools
 import itertools
 import operator

@@ -1174,3 +1174,29 @@ def test_unknown_kind_is_an_argparse_error(gh):
     with pytest.raises(SystemExit) as exc:
         main(["product", "--kind", "tensor", g, h])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command, flags, positionals", [
+    ("product", ["--kind", "dirmax"], 2),
+    ("count", ["--kind", "dirmax"], 2),
+    ("iso", [], 2),
+    ("assoc", ["--kind", "dirmax"], 3),
+    ("commut", ["--kind", "dirmax"], 2),
+    ("lemma1", [], 2),
+    ("counterexample", [], 0),
+    ("fuzz", [], 0),
+    ("fmt", [], 1),
+])
+def test_help_and_a_missing_file_exit_through_argparse(capsys, gh, command, flags, positionals):
+    # argparse raises on a tuple metavar for both, so anything but SystemExit
+    # escaping main is a traceback.
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0 and capsys.readouterr().out.startswith(f"usage: hgprod {command} ")
+    if positionals < 2:
+        return
+    with pytest.raises(SystemExit) as exc:
+        main([command, *flags, *[gh[0]] * (positionals - 1)])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2 and err.startswith(f"usage: hgprod {command} ")
+    assert err.endswith(f"hgprod {command}: error: the following arguments are required: FILE.hg\n")
