@@ -15,10 +15,26 @@ before, and a child starts from its parent's equitable colouring at the
 edges of the individualised pair.  A cell holding unequal numbers of
 vertices of the two hypergraphs refutes a branch; a discrete leaf is
 verified edge by edge, so every witness is a checked bijection.  Instances
-beyond a vertex bound are refused unsearched.  The witness maps the names
-the two triples carry, first to second in rank order: labels for
-are_isomorphic, which screens the counts before it ranks, and tokens for
-``hgprod iso``.
+beyond a vertex bound are refused unsearched.
+
+Before a try (v, w) is refined, the breadth-first layers of edge-mates
+around v and around w are compared, layer by layer, as sorted multisets of
+parent colours; a try whose layers differ is refuted unrefined, yet still
+counts as a search node.  Every try it refutes, refinement would refute:
+were refinement to return True, its colouring would be equitable, every
+cell would hold as many vertices of one side as of the other, and {v, w}
+would be one cell.  By induction on d, the vertices at distance d from v
+or w then form a union of cells: a vertex is at distance d when it is not
+nearer and has an edge holding a colour of distance d - 1, and cell-mates
+have equal multisets of edge colour multisets.  Refinement only splits
+cells, so each cell also has one parent colour, and such cells would give
+both sides the same parent colours at every distance.  Node counts,
+verdicts and witnesses are therefore those of refining every try.  The
+check compares two sides, so it prunes nothing within one.
+
+The witness maps the names the two triples carry, first to second in rank
+order: labels for are_isomorphic, which screens the counts before it ranks,
+and tokens for ``hgprod iso``.
 """
 
 from __future__ import annotations
@@ -162,16 +178,29 @@ def _isomorphic(f1: tuple, f2: tuple, max_vertices: int) -> IsoResult:
                     c += len(part)
         return True
 
+    def layers(u: int, colour: list) -> list:
+        # The sorted colours of each breadth-first layer of edge-mates around u.
+        seen, layer, profile = {u}, {u}, []
+        while layer:
+            layer = set().union(*map(around.__getitem__, layer)) - seen
+            seen |= layer
+            profile.append(sorted(map(colour.__getitem__, layer)))
+        return profile
+
     def children(colour: list, cells: dict, v: int) -> Iterator[tuple]:
         # Individualise v against each h2 vertex of its colour, one node per
         # try: the pair becomes a cell two below the lowest colour, so ahead
         # of every other, and refinement starts from the parent's equitable
-        # colouring at the pair's edges.
+        # colouring at the pair's edges.  A try whose layers differ from v's
+        # is refuted unrefined (see the module docstring).
         nonlocal nodes
         c, low = colour[v], min(cells) - 2
+        profile = layers(v, colour)
         for w in range(n, 2 * n):
             if colour[w] == c:
                 nodes += 1
+                if layers(w, colour) != profile:
+                    continue
                 trial, split = list(colour), dict(cells)
                 trial[v] = trial[w] = low
                 split[low], split[c] = [v, w], [u for u in cells[c] if u != v and u != w]

@@ -165,12 +165,46 @@ def test_cycle_search_scales_polynomially(n):
     assert is_homomorphism(image, cycle, {w: v for v, w in res.witness.items()})
 
 
-@pytest.mark.parametrize("n", range(12, 25, 2))
+@pytest.mark.parametrize("n", [*range(12, 25, 2), 48, 96])
 def test_cycle_refutation_takes_exactly_n_nodes(n):
     """The first cycle vertex is tried against each of the N vertices of
-    2*C_{N/2}, and every try is refuted: N nodes, 24 at N = 24."""
+    2*C_{N/2}, and every try is refuted: N nodes, 24 at N = 24.  Each try
+    is refuted by its distance layers, unrefined, and still counts."""
     res = are_isomorphic(_cycles(n), _cycles(n // 2, n // 2), max_vertices=n)
     assert (res.isomorphic, res.nodes_explored) == (False, n)
+
+
+def _cycle_types(n):
+    """The partitions of n into parts of at least 3, largest first."""
+    if n == 0:
+        return [()]
+    return [(k, *rest) for k in range(n, 2, -1)
+            for rest in _cycle_types(n - k) if not rest or rest[0] <= k]
+
+
+CYCLE_TYPE_PAIRS = [(a, b) for n in range(6, 10) for a in _cycle_types(n)
+                    for b in _cycle_types(n) if a != b]
+
+
+@pytest.mark.parametrize("a, b", CYCLE_TYPE_PAIRS, ids=[
+    "+".join(map(str, a)) + "-vs-" + "+".join(map(str, b)) for a, b in CYCLE_TYPE_PAIRS])
+def test_distinct_cycle_types_are_refuted(a, b):
+    """2-regular graphs on 6-9 vertices with different cycle types pass the
+    screens and the root refinement.  The first vertex, on a cycle of length
+    a[0], is tried against every vertex of the other; a try on a cycle of
+    another length is refuted by its distance layers, so the search takes n
+    nodes, except where b also has a cycle of length a[0]."""
+    n, cycles, other = sum(a), _cycles(*a), _cycles(*b)
+    nodes = {((3, 3, 3), (6, 3)): 51}.get((a, b), n)
+    assert are_isomorphic(cycles, other) == IsoResult(False, None, nodes)
+    if n <= 7:
+        assert bijection_scan_isomorphic(cycles, other) is False
+    targets = random.Random(n).sample(range(n), n)
+    image = apply_mapping(cycles, {Atom(f"c{i}"): Atom(f"p{j}") for i, j in enumerate(targets)})
+    res = are_isomorphic(cycles, image)
+    assert res.isomorphic
+    assert is_homomorphism(cycles, image, res.witness)
+    assert is_homomorphism(image, cycles, {w: v for v, w in res.witness.items()})
 
 
 def _names(witness):
@@ -225,6 +259,27 @@ def test_cubic_graph_search_is_pinned():
     assert _names(res.witness) == {
         "v0": "p3", "v1": "p4", "v2": "p2", "v3": "p1", "v4": "p8",
         "v5": "p6", "v6": "p9", "v7": "p5", "v8": "p7", "v9": "p0"}
+
+
+def test_cubic_graphs_with_equal_distance_layers_are_refuted_by_refinement():
+    """Two cubic graphs on 8 vertices, one triangle-free and one with a
+    triangle, in which every vertex has 3 vertices at distance 1 and 4 at
+    distance 2.  Root refinement leaves one cell, so each of the 8 root tries
+    passes the distance-layer check, and refinement refutes every one."""
+    g = from_tokens(" ".join(f"v{i}" for i in range(8)), [
+        "v0 v1", "v0 v4", "v0 v7", "v1 v2", "v1 v6", "v2 v3",
+        "v2 v4", "v3 v6", "v3 v7", "v4 v5", "v5 v6", "v5 v7"])
+    h = from_tokens(" ".join(f"p{i}" for i in range(8)), [
+        "p0 p4", "p0 p5", "p0 p6", "p1 p3", "p1 p5", "p1 p6",
+        "p2 p5", "p2 p6", "p2 p7", "p3 p4", "p3 p7", "p4 p7"])
+    for hg in (g, h):
+        for v in hg.vertices:
+            mates = {u for e in hg.edges if v in e for u in e} - {v}
+            assert len(mates) == 3
+            assert len({u for e in hg.edges if e & mates for u in e} - mates - {v}) == 4
+    assert are_isomorphic(g, h) == IsoResult(False, None, 8)
+    assert are_isomorphic(h, g) == IsoResult(False, None, 8)
+    assert bijection_scan_isomorphic(g, h) is False
 
 
 def test_search_depth_is_not_bounded_by_the_recursion_limit():
