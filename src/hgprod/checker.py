@@ -155,15 +155,16 @@ def swap_map(v: Label) -> Label:
 def _mismatch(left, right, forward) -> Edge | None:
     """None when the label map forward carries the left edge set exactly
     onto the right one; otherwise the smallest edge, by canonical order,
-    whose image is missing from the other side, taken from the left side
-    when it has one.  forward is a bijection on product labels, so a right
-    edge is missing from the left exactly when it is no left edge's image."""
-    if (image := frozenset(frozenset(forward(v) for v in e) for e in left)) == right:
+    whose image is missing from the other side: the smallest left edge
+    whose image is not on the right, or, when every left image is, the
+    smallest right edge outside the image.  Each left edge is mapped once,
+    and its image serves both the comparison and the witness.  forward is
+    a bijection on product labels, so a right edge is missing from the left
+    exactly when it is no left edge's image."""
+    mapped = [frozenset(forward(v) for v in e) for e in left]
+    if (image := frozenset(mapped)) == right:
         return None
-    missing = [e for e in left if frozenset(forward(v) for v in e) not in right]
-    if missing:
-        return min(missing, key=edge_key)
-    return min(right - image, key=edge_key)
+    return min([e for e, m in zip(left, mapped) if m not in right] or right - image, key=edge_key)
 
 
 def _audit(

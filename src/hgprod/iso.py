@@ -85,7 +85,11 @@ class IsoResult(_IsoResultFields):
 
 
 def apply_mapping(hg: Hypergraph, phi: dict) -> Hypergraph:
-    """Relabel a hypergraph along a vertex bijection."""
+    """Relabel a hypergraph along a vertex bijection.  Raises ValueError
+    when an edge has a member outside the vertex set, or when phi is not
+    total and injective on it."""
+    if not all(e <= hg.vertices for e in hg.edges):
+        raise ValueError("an edge has a member outside the vertex set")
     if not hg.vertices <= phi.keys():
         raise ValueError("mapping not total on the vertex set")
     if len({phi[v] for v in hg.vertices}) != len(hg.vertices):

@@ -2,7 +2,8 @@ import dataclasses
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+import hypothesis.strategies as st
 
 import strategies as stg
 from oracles import enumerate_edge_subsets
@@ -23,6 +24,7 @@ from hgprod import (
     counterexample_audit,
     counterexample_factors,
     derive_seed,
+    edge_key,
     format_edge,
     format_fuzz_report,
     format_law_report,
@@ -118,6 +120,65 @@ def test_witness_from_the_right_side(single_edge_factors, kind, counts):
     assert (report.left_count, report.right_count) == counts
     assert format_edge(report.witness_edge) == "((x,a),a) ((y,a),b) ((z,b),a)"
     assert report.witness_edge in product(kind, product(kind, h, g), g).edges
+
+
+# An audit maps each membership of a left edge once, whether it passes or
+# takes its witness from either side.  Call counts recorded as literals.
+@pytest.mark.parametrize("law,kind,names,calls", [
+    ("associativity", "dirmax", "ggh", 108),  # witness from the left side
+    ("associativity", "strong", "ggh", 228),
+    ("associativity", "dirmax", "hgg", 36),  # witness from the right side
+    ("associativity", "cartesian", "ggh", 36),  # passes
+    ("commutativity", "dirnon", "gh", 18),  # passes
+])
+def test_each_left_edge_is_mapped_once(monkeypatch, single_edge_factors, law, kind, names, calls):
+    g, h = single_edge_factors
+    factors = [{"g": g, "h": h}[name] for name in names]
+    mapped = 0
+
+    def counted(forward):
+        def count(v):
+            nonlocal mapped
+            mapped += 1
+            return forward(v)
+        return count
+
+    monkeypatch.setattr(checker, "regroup_right_to_left", counted(checker.regroup_right_to_left))
+    monkeypatch.setattr(checker, "swap_map", counted(checker.swap_map))
+    if law == "associativity":
+        check_associativity(kind, *factors)
+        left = product(kind, factors[0], product(kind, *factors[1:]))
+    else:
+        check_commutativity(kind, *factors)
+        left = product(kind, *factors)
+    assert mapped == sum(map(len, left.edges)) == calls
+
+
+# Edges of two or more members: with singletons allowed, about 2 draws in
+# 900 violated the law.  The paper's example (G, G, H) takes its witness
+# from the left side and, reversed, (H, G, G) from the right.  In dirmax
+# (K, G, K), 88 edges each, both sides hold 24 edges missing from the other.
+G, H = counterexample_factors()
+K = from_tokens("a b c", ["a b", "a b c"])
+
+
+@settings(max_examples=150)
+@given(st.sampled_from([ProductKind.DIRMAX, ProductKind.DIRNON, ProductKind.STRONG]),
+       stg.hypergraphs(max_vertices=3, max_edges=2, min_edge_size=2),
+       stg.hypergraphs(max_vertices=3, max_edges=2, min_edge_size=2),
+       stg.hypergraphs(max_vertices=3, max_edges=2, min_edge_size=2))
+@example(ProductKind.DIRMAX, G, G, H)
+@example(ProductKind.DIRMAX, K, G, K)
+def test_witness_is_the_smallest_edge_missing_from_the_other_side(kind, a, b, c):
+    """The smallest left edge whose regrouped image is not on the right, or
+    else the smallest right edge that is no left edge's image, or None."""
+    for x, y, z in ((a, b, c), (c, b, a)):
+        left = product(kind, x, product(kind, y, z)).edges
+        right = product(kind, product(kind, x, y), z).edges
+        image = {e: frozenset(Pair(Pair(v.left, v.right.left), v.right.right) for v in e) for e in left}
+        missing = [e for e in left if image[e] not in right] or right - set(image.values())
+        expected = min(missing, key=edge_key) if missing else None
+        assert check_associativity(kind, x, y, z).witness_edge == expected
 
 
 # ---------------------------------------------------------------- commutativity

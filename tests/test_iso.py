@@ -57,6 +57,17 @@ def test_apply_mapping_preconditions():
         apply_mapping(g, {Atom("a"): Atom("x"), Atom("b"): Atom("x")})
 
 
+def test_apply_mapping_edge_member_outside_the_vertex_set_is_a_value_error():
+    """Unvalidated input: a stray edge member raised a bare KeyError when phi
+    lacked it, and was silently merged into a vertex when phi had it."""
+    a, b, x = atoms("a b x")
+    stray = Hypergraph(frozenset({a}), frozenset({frozenset({a, b})}))
+    with pytest.raises(ValueError, match="an edge has a member outside the vertex set"):
+        apply_mapping(stray, {a: x})
+    with pytest.raises(ValueError, match="an edge has a member outside the vertex set"):
+        apply_mapping(stray, {a: x, b: x})
+
+
 def test_swap_map_is_an_involution_on_pairs():
     v = Pair(Atom("a"), Pair(Atom("y"), Atom("z")))
     assert swap_map(swap_map(v)) == v
