@@ -20,10 +20,12 @@ edge is the sorted tuple of its members' ranks, so sorting edges as tuples
 one token, so parsing looks each edge token up in the ``vertices:`` line
 and serializing formats each label once.  `parse_hg` builds labels for the
 library; ``_parse(ranked=True)`` stops at the triple, ordering the tokens
-by label_key tuples parsed straight from them, so ``hgprod product``,
-``hgprod fmt`` and ``hgprod iso`` build no label at all.  Edges keep the order they come in,
-each once, so canonical text and ranked products reach `_emit` as
-ascending runs, which its sorts merge in about linear time.
+by label_key tuples parsed straight from them, or, on a ``vertices:`` line
+with no ``(``, ``)`` or ``,``, which names atoms only, by token order, so
+``hgprod product``, ``hgprod fmt`` and ``hgprod iso`` build no label at all.
+Edges keep the order they come in, each once, so canonical text and ranked
+products reach `_emit` as ascending runs, which its sorts merge in about
+linear time.
 """
 
 from __future__ import annotations
@@ -139,9 +141,14 @@ def _parse(text: str, ranked: bool):
         elif keyword == "vertices":
             if lookup is not None:
                 raise HgParseError("duplicate vertices line", lineno)
-            lookup = {token: _parse_token(token, lineno, *makers) for token in rest.split()}
+            tokens = rest.split()
+            if ranked and "(" not in rest and ")" not in rest and "," not in rest:
+                names = sorted(set(tokens))  # atoms only: label_key (0, name) orders as the name
+            else:
+                lookup = {token: _parse_token(token, lineno, *makers) for token in tokens}
+                if ranked:
+                    names = sorted(lookup, key=lookup.__getitem__)
             if ranked:
-                names = sorted(lookup, key=lookup.__getitem__)
                 lookup = {token: r for r, token in enumerate(names)}
         elif keyword == "edge":
             raise HgParseError("edge before vertices line", lineno)

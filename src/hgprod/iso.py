@@ -3,9 +3,9 @@
 The decision runs on rank triples (order, vertices, edges), the shape
 `core._ranked` and ``hgio._parse(ranked=True)`` give, so ``hgprod iso``
 decides straight from the text and builds no label.  It screens vertex and
-edge counts and the sorted per-vertex incident edge-size multisets, then
-runs individualise-and-refine (McKay & Piperno, "Practical graph
-isomorphism II", 2014): colour refinement on the vertex-edge incidence
+edge counts, the degree multisets and the sorted per-vertex incident
+edge-size multisets, then runs individualise-and-refine (McKay & Piperno,
+"Practical graph isomorphism II", 2014): colour refinement on the vertex-edge incidence
 structure of both hypergraphs at once, individualising the first vertex of
 the first non-singleton cell of the first against each vertex of its colour
 in the second.  A colour is the start index of its cell in the ordered
@@ -16,6 +16,12 @@ edges of the individualised pair.  A cell holding unequal numbers of
 vertices of the two hypergraphs refutes a branch; a discrete leaf is
 verified edge by edge, so every witness is a checked bijection.  Instances
 beyond a vertex bound are refused unsearched.
+
+The degree screen only spares the size screen its incidence lists: a
+degree is the length of an incident-size multiset, so the size screen
+rejects all the degree screen does, and alone decides equal degrees with
+unequal sizes.  Both run before the bound, so a pair either refutes is not
+isomorphic at any size, never an IsoBoundError.
 
 Before a try (v, w) is refined, the breadth-first layers of edge-mates
 around v and around w are compared, layer by layer, as sorted multisets of
@@ -46,6 +52,8 @@ __all__ = [
     "are_isomorphic",
 ]
 
+from collections import Counter
+from itertools import chain
 from typing import Iterator, NamedTuple
 
 from .core import Hypergraph, _ranked
@@ -103,7 +111,7 @@ def apply_mapping(hg: Hypergraph, phi: dict) -> Hypergraph:
 def are_isomorphic(h1: Hypergraph, h2: Hypergraph, max_vertices: int = _SEARCH_BOUND) -> IsoResult:
     """Decide whether two hypergraphs are isomorphic.
 
-    Count and edge-size screens first; only when they agree does the
+    Count, degree and edge-size screens first; only when they agree does the
     refinement search run.  Raises IsoBoundError when a search would be
     needed on more than max_vertices vertices, and ValueError when the
     counts agree but an edge has a member outside its vertex set.
@@ -123,6 +131,11 @@ def _isomorphic(f1: tuple, f2: tuple, max_vertices: int) -> IsoResult:
         return IsoResult(False, None, 0)
     if len(order1) != n or len(order2) != n:  # _ranked ranks stray edge members too
         raise ValueError("an edge has a member outside the vertex set")
+    # The degree screen, counted at C speed before any list is built; equal
+    # vertex counts make the isolated vertices agree too.
+    degrees1, degrees2 = (sorted(Counter(chain.from_iterable(e)).values()) for e in (edges1, edges2))
+    if degrees1 != degrees2:
+        return IsoResult(False, None, 0)
     # One disjoint union: the first's vertices are 0..n-1 and the second's
     # are n..2n-1, each side in rank order, so both share every colour table.
     edges = [*edges1, *(tuple(map(n.__add__, e)) for e in edges2)]

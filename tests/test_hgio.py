@@ -1,5 +1,6 @@
 import pytest
 from hypothesis import given
+import hypothesis.strategies as st
 
 import strategies as stg
 from hgprod import (
@@ -7,12 +8,14 @@ from hgprod import (
     HgParseError,
     Hypergraph,
     Pair,
+    format_label,
     from_tokens,
     parse_hg,
     parse_label,
     serialize_hg,
 )
-from hgprod.hgio import _MAX_LABEL_PAIRS
+from hgprod.core import _ranked
+from hgprod.hgio import _MAX_LABEL_PAIRS, _parse
 
 
 def test_parse_basic():
@@ -87,6 +90,48 @@ def test_errors_quote_at_most_40_characters_of_a_token(text, fragment):
     message = str(err.value)
     assert fragment in message and "chars)" in message
     assert len(message) < 200
+
+
+def _ranks_as_labels(line: str) -> None:
+    """The ranked parse of a vertices line and of one edge through all its
+    tokens gives the triple `_ranked` gives for the labels."""
+    text = f"vertices: {line}\nedge: {line}\n" if line.split() else "vertices:\n"
+    names, vertices, edges = _parse(text, ranked=True)
+    order, ranks, ranked_edges = _ranked(parse_hg(text))
+    assert names == [format_label(v) for v in order]
+    assert list(vertices) == ranks
+    assert list(edges) == ranked_edges
+
+
+@pytest.mark.parametrize("line", [
+    "b B a10 a2 a2 é",
+    "z é É a á ß SS 10 9 _ - a:b",
+    "",
+    "b (a,b) a10 B a2 a2",
+    "((a,b),x) (a,(b,y)) a2 (a,x) a10",
+], ids=["atoms", "more atoms", "empty", "a pair", "pairs"])
+def test_ranked_parse_orders_tokens_as_labels(line):
+    _ranks_as_labels(line)
+
+
+@given(st.lists(st.text(alphabet="aAbBzZ019_-éÉß:", min_size=1, max_size=3), max_size=8))
+def test_ranked_parse_orders_atom_tokens_as_labels(tokens):
+    _ranks_as_labels(" ".join(tokens))
+
+
+@pytest.mark.parametrize("text, lineno", [
+    ("# pairs\nvertices: b a (a,b\n", 2),
+    ("vertices: b a,b a\n", 1),
+    ("vertices: a a)\n", 1),
+])
+def test_ranked_parse_reports_a_bad_label_as_parse_hg_does(text, lineno):
+    with pytest.raises(HgParseError) as labels:
+        parse_hg(text)
+    with pytest.raises(HgParseError) as ranks:
+        _parse(text, ranked=True)
+    assert "bad label" in str(ranks.value)
+    assert str(ranks.value) == str(labels.value)
+    assert ranks.value.line == labels.value.line == lineno
 
 
 def test_missing_vertices_line():

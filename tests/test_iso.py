@@ -364,6 +364,34 @@ def test_size_screen_refutes_equal_degree_sequences():
     assert are_isomorphic(h2, h1, max_vertices=4) == IsoResult(False, None, 0)
 
 
+def _with_isolated(hg, count):
+    return Hypergraph(hg.vertices | frozenset(atoms(" ".join(f"i{k}" for k in range(count)))), hg.edges)
+
+
+_PATH13 = from_tokens(" ".join(f"v{i}" for i in range(13)), [f"v{i} v{i+1}" for i in range(12)])
+_STAR13 = from_tokens(" ".join(f"v{i}" for i in range(13)), [f"v0 v{i}" for i in range(1, 13)])
+_SIZES1 = from_tokens("a b c d", ["a b c", "a d"])
+_SIZES2 = from_tokens("a b c d", ["a b c d", "a"])
+
+
+@pytest.mark.parametrize("h1, h2", [
+    (_PATH13, _STAR13),
+    (_SIZES1, _SIZES2),
+    (_with_isolated(_SIZES1, 9), _with_isolated(_SIZES2, 9)),
+], ids=["degrees differ", "sizes differ", "sizes differ, 13 vertices"])
+def test_screens_decide_before_the_bound(h1, h2):
+    """Equal vertex and edge counts.  A path and a star differ in degrees;
+    the other two pairs both have degrees 2, 1, 1, 1 (and 9 isolated
+    vertices), but the first's degree-2 vertex lies in a 2-edge and a
+    3-edge, the second's in a 1-edge and a 4-edge, so only the incident-size
+    screen decides them.  Either screen refutes with no search node and
+    before the bound of 12, so 13 vertices raise no IsoBoundError."""
+    assert are_isomorphic(h1, h2) == IsoResult(False, None, 0)
+    assert are_isomorphic(h2, h1) == IsoResult(False, None, 0)
+    if len(h1.vertices) <= 4:
+        assert bijection_scan_isomorphic(h1, h2) is False
+
+
 def test_edge_member_outside_the_vertex_set_is_a_value_error():
     """Unvalidated input: after the count screen, an edge member that is no
     vertex raises ValueError (it was a bare KeyError); a pair the count
