@@ -31,11 +31,22 @@ on equal trees agree byte for byte under any PYTHONHASHSEED.  The corpus:
            on messy files (comments, padding, repeated tokens, nested
            labels) and on malformed ones giving each parse error; fuzz at
            --jobs 1 and 2; argument errors, a file short, and every
-           command's --help.  Each line holds the argv, the exit code,
-           stdout and stderr.
+           command's --help.  Among them: `product -o` of a 4-member edge
+           by a 7-member edge and a singleton, strong and dirmax (over 8,000
+           edges each), then `fmt` of the file; iso of a 24-cycle against
+           two 12-cycles at --max-vertices 24, and pairs the degree screen
+           refutes before the bound; dirmax assoc of (h, g, g), whose
+           witness comes from the right side.  Each line holds the argv, the
+           exit code, stdout and stderr.
 
 The script builds its inputs with its own generators.  --quick prints a
-slice of every section in a few seconds.
+slice of every section in a few seconds, with every cli case but some fuzz
+runs.
+
+CI's hash-seed step lists no command of its own: it runs this script under
+PYTHONHASHSEED 0 and 1 and fails on a difference or on a cli line whose
+exit is an exception record, and tier-1 runs the --quick slice the same way
+(tests/test_scripts.py).  A new CLI case goes in _cli_runs.
 
 Usage:
     python scripts/equivalence.py --seed 1
@@ -224,6 +235,12 @@ def pair_sections(seed: int, quick: bool):
             yield _line("pairs", kind.value, a, b, edges=[format_edge(e) for e in edges])
 
 
+def _graph_text(names: list, edges: list) -> str:
+    return f"vertices: {' '.join(names)}\n" + "".join(f"edge: {a} {b}\n" for a, b in edges)
+
+
+_U, _W = [f"u{i}" for i in range(1, 7)], [f"w{i}" for i in range(1, 25)]
+
 _VALID = {
     "g.hg": "vertices: a b\nedge: a b\n",
     "h.hg": "vertices: x y z\nedge: x y z\n",
@@ -234,11 +251,14 @@ _VALID = {
     "nested.hg": "vertices: (a,(b,c)) ((d,e),f) g (h,h)\nedge: (a,(b,c)) g\n"
                  "edge: ((d,e),f)\nedge: g (h,h) ((d,e),f)\n",
     "path.hg": "vertices: p q r\nedge: p q\nedge: q r\n",
-    "c6.hg": "vertices: u1 u2 u3 u4 u5 u6\n" + "".join(f"edge: u{i} u{i % 6 + 1}\n" for i in range(1, 7)),
+    "c6.hg": _graph_text(_U, _cycle(_U)),
     "c6copy.hg": "vertices: p (q,r) s (t,(u,v)) w x\nedge: p s\nedge: s x\nedge: x (q,r)\n"
                  "edge: (q,r) w\nedge: w (t,(u,v))\nedge: (t,(u,v)) p\n",
-    "two3.hg": "vertices: u1 u2 u3 u4 u5 u6\nedge: u1 u2\nedge: u2 u3\nedge: u3 u1\n"
-               "edge: u4 u5\nedge: u5 u6\nedge: u6 u4\n",
+    "two3.hg": _graph_text(_U, _cycle(_U[:3]) + _cycle(_U[3:])),
+    "deg3.hg": _graph_text(_U, _cycle(_U[:3]) + [["u1", "u4"], ["u4", "u5"], ["u5", "u6"]]),
+    "c24.hg": _graph_text(_W, _cycle(_W)),
+    "two12.hg": _graph_text(_W, _cycle(_W[:12]) + _cycle(_W[12:])),
+    "moved24.hg": _graph_text(_W, _cycle(_W)[:-1] + [["w24", "w12"]]),
     "empty.hg": "vertices:\n",
 }
 
@@ -269,7 +289,7 @@ def _cli(argv: list) -> str:
             code = cli_main(argv)
         except SystemExit as exc:  # argparse refuses the arguments
             code = exc.code
-        except Exception as exc:  # a traceback: recorded, so a fix shows in the diff
+        except Exception as exc:  # a traceback: recorded, and the hash-seed checks fail on it
             code = _error(exc)
     return _line("cli", *argv, exit=code, stdout=out.getvalue(), stderr=err.getvalue())
 
@@ -286,18 +306,23 @@ def _cli_runs(seed: int, quick: bool):
             yield ["count", "--kind", kind, a, b, "--verify", "--json"]
             yield ["count", "--kind", kind, a, b, "--verify"]
         yield ["commut", "--kind", "dirnon", a, b]
+        yield ["commut", "--kind", "dirnon", "--json", a, b]
         yield ["lemma1", a, b]
         yield ["lemma1", a, b, "--json"]
-    yield ["product", "--kind", "dirmax", "g.hg", "h.hg", "-o", "out.hg"]
-    yield ["fmt", "out.hg"]
+    for kind, a, b in (("dirmax", "g.hg", "h.hg"), ("strong", "e4.hg", "e7.hg"), ("dirmax", "e4.hg", "e7.hg")):
+        yield ["product", "--kind", kind, a, b, "-o", "out.hg"]
+        yield ["fmt", "out.hg"]
     yield ["product", "--kind", "dirmax", "g.hg", "h.hg", "-o", "missing/out.hg"]
     for name in _VALID:
         yield ["fmt", name]
     for a, b in [("c6.hg", "c6copy.hg"), ("c6.hg", "two3.hg"), ("messy.hg", "messy.hg"),
-                 ("nested.hg", "nested.hg"), ("g.hg", "h.hg"), ("empty.hg", "empty.hg")]:
+                 ("nested.hg", "nested.hg"), ("g.hg", "h.hg"), ("empty.hg", "empty.hg"),
+                 ("c6.hg", "deg3.hg"), ("c24.hg", "moved24.hg")]:
         yield ["iso", a, b]
         yield ["iso", a, b, "--json"]
         yield ["iso", a, b, "--max-vertices", "3"]
+    yield ["iso", "--max-vertices", "24", "c24.hg", "two12.hg"]
+    yield ["iso", "--max-vertices", "24", "--json", "c24.hg", "two12.hg"]
     yield ["iso", "c6.hg", "c6.hg", "--max-vertices", "-1"]
     for kind in kinds:
         yield ["assoc", "--kind", kind, "g.hg", "g.hg", "h.hg", "--full-iso"]
@@ -305,6 +330,8 @@ def _cli_runs(seed: int, quick: bool):
         yield ["assoc", "--kind", kind, "messy.hg", "path.hg", "nested.hg"]
         yield ["assoc", "--kind", kind, "path.hg", "path.hg", "path.hg", "--full-iso"]
         yield ["commut", "--kind", kind, "path.hg", "h.hg", "--json"]
+    yield ["assoc", "--kind", "dirmax", "h.hg", "g.hg", "g.hg"]
+    yield ["assoc", "--kind", "dirmax", "--json", "h.hg", "g.hg", "g.hg"]
     yield ["counterexample"]
     yield ["counterexample", "--json"]
     trials = "30" if quick else "150"

@@ -169,7 +169,7 @@ def _mismatch(left, right, forward) -> Edge | None:
 
 def _audit(
     kind: ProductKind, law: str, left: Hypergraph, right: Hypergraph, forward,
-    factors: tuple[Hypergraph, ...], full_iso: bool = False, iso_bound: int = _SEARCH_BOUND,
+    factors: tuple[Hypergraph, ...], full_iso: bool = False,
 ) -> LawReport:
     """Compare two products through the label map `forward`, optionally
     run the full isomorphism search, and report."""
@@ -178,8 +178,8 @@ def _audit(
     if full_iso:
         if witness is None:
             exists = True  # the map is itself a witness
-        elif len(left.vertices) <= iso_bound:
-            exists = are_isomorphic(left, right, max_vertices=iso_bound).isomorphic
+        elif len(left.vertices) <= _SEARCH_BOUND:
+            exists = are_isomorphic(left, right).isomorphic
     return LawReport(
         kind=kind,
         law=law,
@@ -198,25 +198,23 @@ def check_associativity(
     b: Hypergraph,
     c: Hypergraph,
     full_iso: bool = False,
-    iso_bound: int = _SEARCH_BOUND,
 ) -> LawReport:
     """Compare A * (B * C) with (A * B) * C through the regrouping map.
 
-    When full_iso is set and both sides fit the bound, the report also
-    carries the full isomorphism-search verdict; oversized instances skip
-    the search (the regrouping check always runs, it is linear).
+    When full_iso is set and both sides fit the isomorphism search's bound
+    of 12 vertices, the report also carries the full search verdict;
+    oversized instances skip the search (the regrouping check always runs,
+    it is linear).
     """
-    return _associativity(ProductKind(kind), a, b, c, full_iso, iso_bound)[0]
+    return _associativity(ProductKind(kind), a, b, c, full_iso)[0]
 
 
-def _associativity(kind, a, b, c, full_iso=False, iso_bound=_SEARCH_BOUND):
+def _associativity(kind, a, b, c, full_iso=False):
     """(report, A * (B * C), (A * B) * C): check_associativity's report with
     the groupings it compared, so counterexample_audit builds each once."""
     left = product(kind, a, product(kind, b, c))
     right = product(kind, product(kind, a, b), c)
-    report = _audit(
-        kind, "associativity", left, right, regroup_right_to_left, (a, b, c), full_iso, iso_bound,
-    )
+    report = _audit(kind, "associativity", left, right, regroup_right_to_left, (a, b, c), full_iso)
     return report, left, right
 
 

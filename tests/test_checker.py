@@ -83,18 +83,26 @@ def test_strong_grouping_gap(single_edge_factors):
 
 
 def test_full_iso_skipped_when_oversized(single_edge_factors):
-    g, h = single_edge_factors
-    report = check_associativity(ProductKind.DIRMAX, g, g, h, full_iso=True, iso_bound=4)
-    assert report.exists_isomorphism is None  # 12 grid vertices exceed the bound
+    g, _ = single_edge_factors
+    h4 = from_tokens("w x y z", ["w x y z"])
+    report = check_associativity(ProductKind.DIRMAX, g, g, h4, full_iso=True)
+    assert (report.left_count, report.right_count) == (196, 28)
+    assert report.exists_isomorphism is None  # 16 grid vertices exceed the search bound of 12
     assert not report.psi_is_isomorphism  # but the map check still ran
 
 
-@given(stg.hypergraphs(max_vertices=3, max_edges=2),
-       stg.hypergraphs(max_vertices=3, max_edges=2),
-       stg.hypergraphs(max_vertices=3, max_edges=2))
-def test_associative_kinds_hold_on_random_triples(a, b, c):
+def _factors(count):
+    """`count` factors of at most 3 vertices and 2 edges.  Half the draws
+    give every edge 2 or 3 members; the others are mostly singleton edges."""
+    return st.sampled_from([1, 2]).flatmap(
+        lambda least: st.tuples(*[stg.hypergraphs(max_vertices=3, max_edges=2, min_edge_size=least)] * count)
+    )
+
+
+@given(_factors(3))
+def test_associative_kinds_hold_on_random_triples(factors):
     for kind in ASSOCIATIVE_KINDS:
-        assert check_associativity(kind, a, b, c).psi_is_isomorphism
+        assert check_associativity(kind, *factors).psi_is_isomorphism
 
 
 def test_report_invariants_are_enforced():
@@ -191,11 +199,10 @@ def test_commutativity_on_the_running_example(single_edge_factors):
         assert report.law == "commutativity"
 
 
-@given(stg.hypergraphs(max_vertices=3, max_edges=2),
-       stg.hypergraphs(max_vertices=3, max_edges=2))
-def test_swap_carries_every_kind(a, b):
+@given(_factors(2))
+def test_swap_carries_every_kind(factors):
     for kind in ProductKind:
-        assert check_commutativity(kind, a, b).psi_is_isomorphism
+        assert check_commutativity(kind, *factors).psi_is_isomorphism
 
 
 # ---------------------------------------------------------------- rank-2 lemma

@@ -345,12 +345,32 @@ def test_iso_bound_refusal_is_a_usage_error(run, files):
     assert code == 0
 
 
+def _cycle_text(n: int) -> str:
+    return f"vertices: {' '.join(f'w{i}' for i in range(1, n + 1))}\n" + "".join(
+        f"edge: w{i} w{i % n + 1}\n" for i in range(1, n + 1)
+    )
+
+
 ISO_FILES = {
     "h.hg": "vertices: a b c d e f x y\nedge: a b c\nedge: c d e\nedge: e f a\n",
     "img.hg": "vertices: t s y r q p w u\nedge: t s y\nedge: y r q\nedge: q p t\n",
     "c4.hg": "vertices: a b c d e f g h x y\nedge: a b c\nedge: c d e\nedge: e f g\nedge: g h a\n",
     "cc.hg": "vertices: a b c d e f g h x y\nedge: a b c\nedge: c d a\nedge: e f g\nedge: g h e\n",
+    "g.hg": G_TEXT,
+    "e3.hg": H_TEXT,
+    "g_and_b.hg": "vertices: a b\nedge: a b\nedge: b\n",
+    "c6.hg": _cycle_text(6),
+    "deg3.hg": "vertices: w1 w2 w3 w4 w5 w6\nedge: w1 w2\nedge: w2 w3\nedge: w3 w1\n"
+               "edge: w1 w4\nedge: w4 w5\nedge: w5 w6\n",
+    "c24.hg": _cycle_text(24),
+    "moved24.hg": _cycle_text(24).replace("edge: w24 w1\n", "edge: w24 w12\n"),
 }
+
+# Pairs the screens refute with no search node: unequal vertex counts,
+# unequal edge counts (a screen of `hgprod iso`'s own, since are_isomorphic
+# screens counts before it ranks), and unequal degrees on 6 and on 24
+# vertices; the screens run before the default bound of 12.
+SCREENED = [("g.hg", "e3.hg"), ("g.hg", "g_and_b.hg"), ("c6.hg", "deg3.hg"), ("c24.hg", "moved24.hg")]
 
 
 @pytest.mark.parametrize(
@@ -366,6 +386,9 @@ ISO_FILES = {
         (("c4.hg", "cc.hg"), [], 1, "isomorphic: false\nnodes_explored: 10\n"),
         (("c4.hg", "cc.hg"), ["--json"], 1,
          '{\n  "isomorphic": false,\n  "nodes_explored": 10,\n  "witness": null\n}\n'),
+        *[(pair, [], 1, "isomorphic: false\nnodes_explored: 0\n") for pair in SCREENED],
+        *[(pair, ["--json"], 1, '{\n  "isomorphic": false,\n  "nodes_explored": 0,\n  "witness": null\n}\n')
+          for pair in SCREENED],
     ],
 )
 def test_iso_stdout_bytes_are_pinned(run, files, pair, flags, code, stdout):
@@ -1022,6 +1045,20 @@ def test_fmt_builds_no_label(run, files, monkeypatch):
     _refuse_labels(monkeypatch, "fmt")
     assert run("fmt", product_file) == (0, canon, "")
     assert run("fmt", messy) == (0, canon, "")
+
+
+@pytest.mark.parametrize("kind", ["strong", "dirmax"])
+def test_fmt_gives_a_product_file_of_over_8000_edges_back(run, files, tmp_path, kind):
+    """fmt of a file that `product -o` wrote is the file, byte for byte:
+    serialize after parse is the identity on canonical text.  The factors
+    are a 4-member edge and a 7-member edge beside a singleton."""
+    e4 = files("e4.hg", "vertices: a1 a2 a3 a4\nedge: a1 a2 a3 a4\n")
+    e7 = files("e7.hg", "vertices: b1 b2 b3 b4 b5 b6 b7 c\nedge: b1 b2 b3 b4 b5 b6 b7\nedge: c\n")
+    out = tmp_path / f"{kind}.hg"
+    assert run("product", "--kind", kind, e4, e7, "-o", str(out)) == (0, "", "")
+    canon = out.read_text(encoding="utf-8")
+    assert canon.count("\nedge: ") > 8000
+    assert run("fmt", str(out)) == (0, canon, "")
 
 
 # strong of a 2-edge on three nested labels by a 2-edge on four labels,

@@ -1,5 +1,6 @@
 """The scripts and the README example run end to end."""
 
+import json
 import os
 import re
 import subprocess
@@ -28,8 +29,10 @@ def test_run_counterexample_lists_both_groupings():
 
 def test_equivalence_slice_does_not_depend_on_the_hash_seed():
     """A slice of every section of the corpus, under two hash seeds at once:
-    the outputs agree byte for byte.  No digest is pinned, so an intended
-    change of behaviour never has to edit this test."""
+    the outputs agree byte for byte, and every CLI run exits with a code, not
+    an exception (the corpus records a crash, so both seeds agree on it).
+    No digest is pinned, so an intended change of behaviour never has to
+    edit this test."""
     env = {**os.environ, "PYTHONPATH": str(Path(hgprod.__file__).parents[1])}
     argv = [sys.executable, str(ROOT / "scripts" / "equivalence.py"), "--seed", "3", "--quick"]
     runs = [subprocess.Popen(argv, env={**env, "PYTHONHASHSEED": seed}, stdout=subprocess.PIPE,
@@ -39,6 +42,10 @@ def test_equivalence_slice_does_not_depend_on_the_hash_seed():
     sections = {line.split(" ", 1)[0] for line in out0.splitlines()}
     assert sections == {"assoc", "commut", "lemma1", "random", "iso", "text", "pairs", "cli"}
     assert out0 == out1
+    cli = [line for line in out0.splitlines() if line.startswith("cli ") and not line.startswith("cli output ")]
+    exits = [json.loads(line[line.index(" {") + 1:])["exit"] for line in cli]
+    assert len(exits) > 300
+    assert [line for line, code in zip(cli, exits) if type(code) is not int] == []
 
 
 def test_associativity_sweep_prints_the_verdict_table():
