@@ -30,7 +30,8 @@ on equal trees agree byte for byte under any PYTHONHASHSEED.  The corpus:
   cli      in-process `hgprod` runs of every command, in text and --json,
            on messy files (comments, padding, repeated tokens, nested
            labels) and on malformed ones giving each parse error; fuzz at
-           --jobs 1 and 2; argument errors, a file short, and every
+           --jobs 1 and 2, once with factors stepped past infeasible
+           draws; argument errors, a file short, and every
            command's --help.  Among them: `product -o` of a 4-member edge
            by a 7-member edge and a singleton, strong and dirmax (over 8,000
            edges each), then `fmt` of the file; iso of a 24-cycle against
@@ -346,6 +347,11 @@ def _cli_runs(seed: int, quick: bool):
                   ["--jobs", "0"], ["--trials", "-1"], ["--edge-size-min", "5"],
                   ["--edge-size-min", "3", "--edge-size-max", "2"], ["--simple", "--max-vertices", "1"]):
         yield ["fuzz", "--kind", "strong", "--law", "assoc", "--seed", str(seed), "--trials", "20", *flags]
+    # Four simple edges on three vertices cannot be drawn, so these trials
+    # step their factors' seeds past infeasible draws (18 at seed 1).
+    for jobs, flags in itertools.product(("1", "2"), ([], ["--json"])):
+        yield ["fuzz", "--kind", "dirmax", "--law", "commut", "--seed", "1", "--trials", "20", "--simple",
+               "--max-vertices", "3", "--max-edges", "4", "--jobs", jobs, *flags]
     for name in [*_MALFORMED, "missing.hg", "binary.hg", "folder"]:
         yield ["fmt", name]
         yield ["iso", name, "g.hg"]

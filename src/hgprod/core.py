@@ -175,12 +175,11 @@ def validate(hg: Hypergraph) -> str | None:
     """
     if all(e and e <= hg.vertices for e in hg.edges):
         return None
-    for e in sorted(hg.edges, key=edge_key):
-        if len(e) == 0:
-            return "empty edge"
-        if not e.issubset(hg.vertices):
-            return f"edge not subset of vertices: {{{format_edge(e)}}}"
-    return None
+    # The first offending edge in edge order, where an empty edge comes first.
+    first = min((e for e in hg.edges if not (e and e <= hg.vertices)), key=edge_key)
+    if not first:
+        return "empty edge"
+    return f"edge not subset of vertices: {{{format_edge(first)}}}"
 
 
 def _ranked(hg: Hypergraph) -> tuple[list, list, list]:

@@ -37,7 +37,7 @@ __all__ = [
     "serialize_hg",
 ]
 
-from .core import Atom, Hypergraph, Label, Pair, _ranked, format_label
+from .core import _FORBIDDEN_IN_ATOM, Atom, Hypergraph, Label, Pair, _ranked, format_label
 
 # Error messages quote at most this many characters of a token or line.
 _QUOTE_CHARS = 40
@@ -93,9 +93,8 @@ def _parse_label_at(text: str, pos: int, atom, pair) -> tuple:
         if pos >= len(text) or text[pos] != ")":
             raise ValueError(f"expected ')' at offset {pos} in label")
         return pair(left, right), pos + 1
-    end = pos
-    while end < len(text) and text[end] not in ",()" and not text[end].isspace():
-        end += 1
+    stop = _FORBIDDEN_IN_ATOM.search(text, pos)
+    end = stop.start() if stop else len(text)
     if end == pos:
         raise ValueError(f"empty atom at offset {pos} in label")
     return atom(text[pos:end]), end

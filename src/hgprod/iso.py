@@ -1,4 +1,4 @@
-"""Isomorphism testing and relabeling along a vertex bijection.
+"""Isomorphism testing.
 
 The decision runs on rank triples (order, vertices, edges), the shape
 `core._ranked` and ``hgio._parse(ranked=True)`` give, so ``hgprod iso``
@@ -48,7 +48,6 @@ from __future__ import annotations
 __all__ = [
     "IsoBoundError",
     "IsoResult",
-    "apply_mapping",
     "are_isomorphic",
 ]
 
@@ -90,22 +89,6 @@ class IsoResult(_IsoResultFields):
     @classmethod
     def _make(cls, values):  # _replace builds through it: check there too
         return cls(*values)
-
-
-def apply_mapping(hg: Hypergraph, phi: dict) -> Hypergraph:
-    """Relabel a hypergraph along a vertex bijection.  Raises ValueError
-    when an edge has a member outside the vertex set, or when phi is not
-    total and injective on it."""
-    if not all(e <= hg.vertices for e in hg.edges):
-        raise ValueError("an edge has a member outside the vertex set")
-    if not hg.vertices <= phi.keys():
-        raise ValueError("mapping not total on the vertex set")
-    if len({phi[v] for v in hg.vertices}) != len(hg.vertices):
-        raise ValueError("mapping is not injective on the vertex set")
-    return Hypergraph(
-        frozenset(phi[v] for v in hg.vertices),
-        frozenset(frozenset(phi[v] for v in e) for e in hg.edges),
-    )
 
 
 def are_isomorphic(h1: Hypergraph, h2: Hypergraph, max_vertices: int = _SEARCH_BOUND) -> IsoResult:

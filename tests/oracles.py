@@ -99,6 +99,15 @@ def bijection_scan_isomorphic(h1, h2):
     return False
 
 
+def relabel(hg, phi):
+    """The image of hg under the vertex map phi: every vertex and every edge
+    mapped member by member."""
+    return Hypergraph(
+        frozenset(phi[v] for v in hg.vertices),
+        frozenset(frozenset(phi[v] for v in e) for e in hg.edges),
+    )
+
+
 # --------------------------------------------------------------------------
 # counting oracles
 # --------------------------------------------------------------------------

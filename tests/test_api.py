@@ -31,7 +31,6 @@ PUBLIC = [
     "PreconditionError",
     "ProductKind",
     "TrialFailure",
-    "apply_mapping",
     "are_isomorphic",
     "atoms",
     "cartesian",

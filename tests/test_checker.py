@@ -372,6 +372,9 @@ def test_config_validation():
     with pytest.raises(ValueError):
         GeneratorConfig(seed=0, vertex_count=(1, 2), edge_count=(1, 1),
                         edge_size=(1, 1), require_simple=True)
+    with pytest.raises(ValueError, match="^simple edges need size at least 2$"):
+        GeneratorConfig(seed=1, vertex_count=(3, 3), edge_count=(4, 4),
+                        edge_size=(1, 1), require_simple=True)
 
 
 def test_derive_seed_is_stable_and_order_sensitive():
@@ -417,6 +420,15 @@ def test_fuzz_commutativity_is_clean():
     for kind in ProductKind:
         report = fuzz_law(kind, "commutativity", FUZZ_CFG, trials=25)
         assert report.failure_count == 0
+
+
+def test_fuzz_gives_up_on_a_factor_after_its_stepped_draws():
+    """Three vertices hold at most three pairwise incomparable edges, so every
+    draw of four simple edges is infeasible, and so are all 50 stepped seeds."""
+    cfg = GeneratorConfig(seed=1, vertex_count=(3, 3), edge_count=(4, 4),
+                          edge_size=(2, 3), require_simple=True)
+    with pytest.raises(InfeasibleError, match=r"^no feasible hypergraph in 50 draws for trial 0$"):
+        fuzz_law(ProductKind.DIRMAX, "commutativity", cfg, trials=20)
 
 
 def test_fuzz_is_deterministic_and_parallel_invariant():

@@ -12,15 +12,18 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given
 
+import hgprod.checker
+import hgprod.cli
 import hgprod.counting
 import hgprod.products
 import strategies as stg
+from oracles import relabel
 from hgprod import (
     Atom,
     HgParseError,
+    InfeasibleError,
     Pair,
     ProductKind,
-    apply_mapping,
     cartesian,
     format_label,
     from_tokens,
@@ -116,7 +119,7 @@ def relabelled_flatten(hg) -> str:
     product with its vertices renamed v0..vn in label order."""
     ordered = sorted(hg.vertices, key=label_key)
     legend = "".join(f"# v{i} = {format_label(v)}\n" for i, v in enumerate(ordered))
-    return legend + serialize_hg(apply_mapping(hg, {v: Atom(f"v{i}") for i, v in enumerate(ordered)}))
+    return legend + serialize_hg(relabel(hg, {v: Atom(f"v{i}") for i, v in enumerate(ordered)}))
 
 
 flatten_factors = stg.hypergraphs(max_vertices=5, max_edges=3, max_edge_size=3, labels=stg.any_labels).filter(
@@ -559,6 +562,46 @@ def test_fuzz_stdout_is_the_same_across_processes_and_hash_seeds():
     serial, parallel = fuzz("1", "1"), fuzz("2", "2")
     assert serial.returncode == parallel.returncode == 1
     assert serial.stdout == parallel.stdout and "minimal_trial:" in serial.stdout
+
+
+STEPPING_ARGS = [
+    "fuzz", "--kind", "dirmax", "--law", "commut", "--seed", "1",
+    "--trials", "20", "--simple", "--max-vertices", "3", "--max-edges", "4",
+]
+
+
+def test_fuzz_steps_each_factor_past_infeasible_draws(run, monkeypatch):
+    """Four simple edges on three vertices cannot be drawn (at most three are
+    pairwise incomparable), so 18 of this run's draws are infeasible and the
+    trial steps the factor's seed; the report is the same for any job count."""
+    text = "law: commutativity\nkind: dirmax\nseed: 1\ntrials: 20\nfailures: 0\nfailing_trials: none\n"
+    payload = (
+        '{\n  "kind": "dirmax",\n  "law": "commutativity",\n  "seed": 1,\n  "trials": 20,\n'
+        '  "failure_count": 0,\n  "failures": [],\n  "minimal": null\n}\n'
+    )
+    draw, infeasible = hgprod.checker.random_hypergraph, []
+
+    def counting_draw(cfg):
+        try:
+            return draw(cfg)
+        except InfeasibleError:
+            infeasible.append(cfg.seed)
+            raise
+
+    monkeypatch.setattr(hgprod.checker, "random_hypergraph", counting_draw)
+    assert run(*STEPPING_ARGS) == (0, text, "")
+    assert len(infeasible) == 18
+    monkeypatch.undo()
+    assert run(*STEPPING_ARGS, "--jobs", "2") == (0, text, "")
+    assert run(*STEPPING_ARGS, "--json") == run(*STEPPING_ARGS, "--json", "--jobs", "2") == (0, payload, "")
+
+
+def test_fuzz_infeasible_factors_exit_2_with_one_error_line(run, monkeypatch):
+    def infeasible(*args, **kwargs):
+        raise InfeasibleError("no feasible hypergraph in 50 draws for trial 0")
+
+    monkeypatch.setattr(hgprod.cli, "fuzz_law", infeasible)
+    assert run(*FUZZ_ARGS) == (2, "", "error: no feasible hypergraph in 50 draws for trial 0\n")
 
 
 def test_fuzz_jobs_are_bounded_by_cores_and_trials(run, monkeypatch):

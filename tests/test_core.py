@@ -121,6 +121,12 @@ def test_validate_flags_empty_edge():
     assert msg is not None and "empty" in msg
 
 
+def test_validate_names_the_first_offending_edge_in_edge_order():
+    a, b, c, d = atoms("a b c d")
+    assert validate(hypergraph([a], [{a, c}, frozenset()])) == "empty edge"
+    assert validate(hypergraph([a, b], [{a, d}, {c}, {a, b}])) == "edge not subset of vertices: {c}"
+
+
 # ---------------------------------------------------------------- invariants
 
 def test_rank_and_simplicity():
