@@ -54,11 +54,11 @@ from .core import (
     Hypergraph,
     Label,
     Pair,
-    edge_key,
     format_label,
     from_tokens,
     hypergraph,
     is_simple,
+    label_key,
     rank,
     sorted_members,
 )
@@ -160,11 +160,15 @@ def _mismatch(left, right, forward) -> Edge | None:
     smallest right edge outside the image.  Each left edge is mapped once,
     and its image serves both the comparison and the witness.  forward is
     a bijection on product labels, so a right edge is missing from the left
-    exactly when it is no left edge's image."""
+    exactly when it is no left edge's image.  The candidates' members are
+    ranked by label_key once; (size, sorted member ranks) then orders the
+    candidates as edge_key does, without a nested key per member."""
     mapped = [frozenset(forward(v) for v in e) for e in left]
     if (image := frozenset(mapped)) == right:
         return None
-    return min([e for e, m in zip(left, mapped) if m not in right] or right - image, key=edge_key)
+    candidates = [e for e, m in zip(left, mapped) if m not in right] or right - image
+    rank = {v: r for r, v in enumerate(sorted(set().union(*candidates), key=label_key))}
+    return min(candidates, key=lambda e: (len(e), sorted(map(rank.__getitem__, e))))
 
 
 def _audit(
@@ -375,13 +379,22 @@ def random_hypergraph(cfg: GeneratorConfig) -> Hypergraph:
     if cfg.require_simple:
         size_lo = max(size_lo, 2)
     size_hi = min(size_hi, n)
-    possible = sum(math.comb(n, s) for s in range(size_lo, size_hi + 1)) if size_lo <= size_hi else 0
+    sizes = range(size_lo, size_hi + 1)
+    possible = sum(math.comb(n, s) for s in sizes)
     if cfg.edge_count[0] > possible:
         raise InfeasibleError(
             f"requested at least {cfg.edge_count[0]} distinct edges,"
             f" only {possible} exist for {n} vertices"
         )
     m = rng.randint(cfg.edge_count[0], min(cfg.edge_count[1], possible))
+    # Simple edges are pairwise incomparable, so by the LYM inequality there
+    # are at most C(n, s) of them for the widest allowed size s.
+    widest = max((math.comb(n, s) for s in sizes), default=0)
+    if cfg.require_simple and m > widest:
+        raise InfeasibleError(
+            f"requested {m} simple edges, at most {widest} are pairwise"
+            f" incomparable for {n} vertices"
+        )
     edges: set = set()
     attempts = 0
     while len(edges) < m:

@@ -2,8 +2,9 @@
 
 Exit codes: 0 when the operation succeeds (and any audited law holds),
 1 when an audited law is violated (expected for the non-associative kinds)
-or hypergraphs are not isomorphic, 2 on usage or input errors.  Structured
-output goes to stdout, diagnostics to stderr.  Identical argv, input files
+or hypergraphs are not isomorphic, 2 on usage or input errors and when
+stdout cannot be written.  Structured output goes to stdout, diagnostics
+to stderr.  Identical argv, input files
 and seed give byte-identical output.
 """
 
@@ -12,7 +13,9 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import io
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -67,13 +70,43 @@ _parse_ranked = functools.partial(_parse, ranked=True)
 
 
 def _write(text: str, out: str | None) -> None:
+    """Write text to the file out, or to stdout when out is None."""
     if out is None:
-        sys.stdout.write(text)
+        _stdout(text)
         return
     try:
         Path(out).write_text(text, encoding="utf-8")
     except OSError as exc:
         raise InputError(f"{out}: {exc.strerror or exc}") from exc
+
+
+def _stdout(text: str) -> None:
+    """Write text to stdout and flush it, so that an OSError (a full disk, a
+    reader that closed the pipe) becomes InputError here, not a traceback or
+    the interpreter's exit status 120.  What the failed write left in the
+    buffer would fail again in the interpreter's exit flush, so stdout's
+    file descriptor is first pointed at os.devnull (as the SIGPIPE note in
+    the documentation of the signal module does)."""
+    stream = sys.stdout
+    try:
+        raw = getattr(stream, "buffer", None)
+        if isinstance(raw, io.RawIOBase):
+            # Unbuffered (python -u), the text layer drops the count of a
+            # short write, as when the reader closes the pipe mid-write:
+            # write the bytes until the file takes them all or fails.
+            data = memoryview(text.encode(stream.encoding, stream.errors))
+            while data:
+                data = data[raw.write(data):]
+        else:
+            stream.write(text)
+        stream.flush()
+    except OSError as exc:
+        with contextlib.suppress(OSError, ValueError):  # no descriptor: nothing to flush at exit
+            fd = stream.fileno()
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
+        raise InputError(f"stdout: {exc.strerror or exc}") from exc
 
 
 @contextlib.contextmanager
@@ -95,10 +128,8 @@ def _show(as_json: bool, fields: dict, text=None) -> None:
     """Print a report: its fields as indented JSON, or else its text:
     `text()` when given, the fields as `key: value` lines otherwise."""
     with _any_int_digits():  # a closed form can exceed 4,300 digits
-        if as_json:
-            print(json.dumps(fields, indent=2))
-        else:
-            print(text() if text else _text(fields))
+        shown = json.dumps(fields, indent=2) if as_json else text() if text else _text(fields)
+    _stdout(shown + "\n")
 
 
 def _print_report(report: LawReport, as_json: bool) -> int:
@@ -236,7 +267,7 @@ def _cmd_fuzz(args) -> int:
 def _cmd_fmt(args) -> int:
     # Parsed edges are subsets of the declared vertices, so there is nothing
     # to validate.
-    sys.stdout.write(_emit(*_read(args.file, _parse_ranked)))
+    _stdout(_emit(*_read(args.file, _parse_ranked)))
     return EXIT_OK
 
 

@@ -16,6 +16,15 @@ fields and the hash in ``__slots__``, with no instance dict, so storing the
 hash does not make a label larger.  Pickling and copying rebuild a label
 from its fields, so a hash never crosses into a process with another
 string-hash seed.
+
+Labels are frozen dataclasses without a generated ``__init__``: each is
+built by its own ``__new__``, which stores the fields and the hash through
+the slot descriptors' setters.  The law audits build thousands of pairs,
+and the generated frozen ``__init__``, its ``__post_init__`` and their
+``object.__setattr__`` calls were the largest entry in their profile.  The
+dataclass still gives ``__eq__``, the frozen ``__setattr__`` and
+``__delattr__``, ``fields`` and ``replace``, which builds through
+``__new__``, so the ``Atom`` checks run there too.
 """
 
 from __future__ import annotations
@@ -51,19 +60,22 @@ from typing import Iterable, NamedTuple, Union
 _FORBIDDEN_IN_ATOM = re.compile(r"[\s,()]")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Atom:
     """A leaf vertex label: a non-empty token with no whitespace, comma or parens."""
 
     __slots__ = ("name", "_hash")
     name: str
 
-    def __post_init__(self) -> None:
-        if not self.name:
+    def __new__(cls, name: str) -> Atom:
+        if not name:
             raise ValueError("atom token must be non-empty")
-        if _FORBIDDEN_IN_ATOM.search(self.name):
-            raise ValueError(f"atom token {self.name!r} contains forbidden character")
-        object.__setattr__(self, "_hash", hash((self.name,)))
+        if _FORBIDDEN_IN_ATOM.search(name):
+            raise ValueError(f"atom token {name!r} contains forbidden character")
+        self = object.__new__(cls)
+        _set_name(self, name)
+        _set_atom_hash(self, hash((name,)))
+        return self
 
     def __hash__(self) -> int:
         return self._hash
@@ -75,7 +87,7 @@ class Atom:
         return f"Atom({self.name!r})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Pair:
     """An ordered pair of labels; the vertex type of a two-factor product."""
 
@@ -83,8 +95,12 @@ class Pair:
     left: Label
     right: Label
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.left, self.right)))
+    def __new__(cls, left: Label, right: Label) -> Pair:
+        self = object.__new__(cls)
+        _set_left(self, left)
+        _set_right(self, right)
+        _set_pair_hash(self, hash((left, right)))
+        return self
 
     def __hash__(self) -> int:
         return self._hash
@@ -95,6 +111,11 @@ class Pair:
     def __repr__(self) -> str:
         return f"Pair({self.left!r}, {self.right!r})"
 
+
+# The slot descriptors' setters, which store a field past the frozen
+# __setattr__: only the labels' __new__ call them.
+_set_name, _set_atom_hash = Atom.name.__set__, Atom._hash.__set__
+_set_left, _set_right, _set_pair_hash = Pair.left.__set__, Pair.right.__set__, Pair._hash.__set__
 
 Label = Union[Atom, Pair]
 

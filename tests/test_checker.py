@@ -355,6 +355,24 @@ def test_generator_infeasible_demand():
         random_hypergraph(cfg)
 
 
+def test_generator_refuses_more_simple_edges_than_an_antichain_holds(monkeypatch):
+    """Three vertices hold at most C(3, 2) = 3 pairwise incomparable edges,
+    though C(3, 2) + C(3, 3) = 4 candidate edges exist: four simple edges
+    are refused before any edge is sampled, not after the retry budget."""
+    samples = []
+    sample = checker._sample_without_replacement
+    monkeypatch.setattr(checker, "_sample_without_replacement",
+                        lambda *args: samples.append(args) or sample(*args))
+    cfg = GeneratorConfig(seed=1, vertex_count=(3, 3), edge_count=(4, 4),
+                          edge_size=(2, 3), require_simple=True)
+    with pytest.raises(InfeasibleError, match=r"^requested 4 simple edges, at most 3 are pairwise incomparable for 3 vertices$"):
+        random_hypergraph(cfg)
+    assert samples == []
+    # The three 2-edges can be drawn, through the sampler.
+    assert len(random_hypergraph(dataclasses.replace(cfg, edge_count=(3, 3), edge_size=(2, 2))).edges) == 3
+    assert samples
+
+
 def test_config_validation():
     good = dict(seed=0, vertex_count=(1, 2), edge_count=(0, 1), edge_size=(1, 2))
     GeneratorConfig(**good)

@@ -564,6 +564,45 @@ def test_fuzz_stdout_is_the_same_across_processes_and_hash_seeds():
     assert serial.stdout == parallel.stdout and "minimal_trial:" in serial.stdout
 
 
+def _hgprod_env(unbuffered: bool) -> dict:
+    env = {**os.environ, "PYTHONPATH": str(Path(hgprod.__file__).parents[1])}
+    env.pop("PYTHONUNBUFFERED", None)
+    return env | {"PYTHONUNBUFFERED": "1"} if unbuffered else env
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full here")
+@pytest.mark.parametrize("unbuffered", [True, False])
+def test_a_full_stdout_exits_2_with_one_error_line(unbuffered):
+    """Every write to /dev/full fails with ENOSPC.  Unbuffered, the write
+    itself fails; buffered, only the flush does, which the interpreter's
+    exit flush would otherwise report as exit 120."""
+    with open("/dev/full", "w") as full:
+        done = subprocess.run([sys.executable, "-m", "hgprod", "counterexample"], stdout=full,
+                              stderr=subprocess.PIPE, env=_hgprod_env(unbuffered), text=True)
+    assert (done.returncode, done.stderr) == (2, "error: stdout: No space left on device\n")
+
+
+# About 210 KB of JSON, far more than a pipe holds, in well under a second.
+CLOSED_PIPE_ARGS = [
+    "fuzz", "--kind", "dirmax", "--law", "assoc", "--seed", "1", "--trials", "1000",
+    "--max-vertices", "3", "--max-edges", "2", "--edge-size-min", "2", "--json",
+]
+
+
+@pytest.mark.parametrize("unbuffered", [True, False])
+def test_a_reader_that_closes_the_pipe_early_gets_exit_2(run, unbuffered):
+    code, out, _ = run(*CLOSED_PIPE_ARGS)
+    assert code == 1 and len(out) > 200_000
+    argv = [sys.executable, "-m", "hgprod", *CLOSED_PIPE_ARGS]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0,
+                          env=_hgprod_env(unbuffered)) as proc:
+        first = proc.stdout.readline()  # unbuffered: reads no further than the newline
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 2
+    assert (first, err) == (b"{\n", b"error: stdout: Broken pipe\n")
+
+
 STEPPING_ARGS = [
     "fuzz", "--kind", "dirmax", "--law", "commut", "--seed", "1",
     "--trials", "20", "--simple", "--max-vertices", "3", "--max-edges", "4",
@@ -1063,15 +1102,13 @@ def test_parse_hg_and_fmt_agree_on_keyword_and_blank_lines(run, files, text, can
 
 
 def _refuse_labels(monkeypatch, command: str) -> None:
-    """Make building an Atom or a Pair fail, however labels store their
-    fields: patch the class's own __new__, or its __init__ when it inherits
-    object.__new__ (CPython keeps a patched __new__ slot after the patch is
-    undone, and object.__new__ then refuses the label's arguments)."""
+    """Make building an Atom or a Pair fail: each label is built by its own
+    __new__, and nothing else."""
     def refuse(*args, **kwargs):
         raise AssertionError(f"{command} built a label")
 
     for cls in (Atom, Pair):
-        monkeypatch.setattr(cls, "__new__" if "__new__" in vars(cls) else "__init__", refuse)
+        monkeypatch.setattr(cls, "__new__", refuse)
 
 
 def test_fmt_builds_no_label(run, files, monkeypatch):

@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import os
 import subprocess
 import sys
@@ -54,6 +56,62 @@ def test_label_hash_is_the_hash_of_its_fields():
     assert hash(Atom("a")) == hash(("a",))
     assert hash(Pair(a, b)) == hash((a, b))
     assert hash(Pair(b, a)) == hash((b, a))
+
+
+def test_atom_messages_are_pinned():
+    with pytest.raises(ValueError, match=r"^atom token must be non-empty$"):
+        Atom("")
+    with pytest.raises(ValueError, match=r"^atom token 'a,b' contains forbidden character$"):
+        Atom("a,b")
+
+
+def test_labels_take_their_fields_by_keyword():
+    a, b = Atom("a"), Atom("b")
+    assert Atom(name="a") == a
+    assert Pair(left=a, right=b) == Pair(a, right=b) == Pair(a, b) != Pair(b, a)
+    assert hash(Pair(left=a, right=b)) == hash((a, b))
+
+
+@pytest.mark.parametrize("args,kwargs", [((), {}), (("a", "b"), {}), ((), {"token": "a"})])
+def test_atom_takes_exactly_its_name(args, kwargs):
+    with pytest.raises(TypeError):
+        Atom(*args, **kwargs)
+
+
+@pytest.mark.parametrize("args", [(), (Atom("a"),), (Atom("a"), Atom("b"), Atom("c"))])
+def test_pair_takes_exactly_left_and_right(args):
+    with pytest.raises(TypeError):
+        Pair(*args)
+
+
+@pytest.mark.parametrize("label,field", [(Atom("a"), "name"), (Pair(Atom("a"), Atom("b")), "left"),
+                                         (Pair(Atom("a"), Atom("b")), "right")])
+def test_labels_are_frozen(label, field):
+    before = getattr(label, field)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(label, field, Atom("z"))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        delattr(label, field)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        label._hash = 0
+    assert getattr(label, field) is before
+
+
+def test_replace_and_copies_rebuild_nested_labels():
+    a, b, c = atoms("a b c")
+    inner = Pair(b, c)
+    label = Pair(a, Pair(inner, a))
+    assert [f.name for f in dataclasses.fields(label)] == ["left", "right"]
+    assert dataclasses.fields(Atom("a"))[0].name == "name"
+    moved = dataclasses.replace(label, left=inner)
+    assert moved == Pair(inner, Pair(inner, a)) and hash(moved) == hash((inner, label.right))
+    assert dataclasses.replace(a, name="z") == Atom("z")
+    with pytest.raises(ValueError, match="forbidden character"):
+        dataclasses.replace(a, name="a b")
+    assert copy.copy(label) == label and copy.copy(label).right is label.right
+    deep = copy.deepcopy(label)
+    assert deep == label and hash(deep) == hash(label) and repr(deep) == repr(label)
+    assert deep.right is not label.right and deep.right.left == inner
 
 
 NESTED = "Pair(Pair(Atom('a'), Atom('bb')), Pair(Atom('c'), Pair(Atom('a'), Atom('d'))))"
