@@ -29,16 +29,17 @@ on equal trees agree byte for byte under any PYTHONHASHSEED.  The corpus:
            pair up to 4
   cli      in-process `hgprod` runs of every command, in text and --json,
            on messy files (comments, padding, repeated tokens, nested
-           labels) and on malformed ones giving each parse error; fuzz at
-           --jobs 1 and 2, once with factors stepped past infeasible
-           draws; argument errors, a file short, and every
-           command's --help.  Among them: `product -o` of a 4-member edge
-           by a 7-member edge and a singleton, strong and dirmax (over 8,000
-           edges each), then `fmt` of the file; iso of a 24-cycle against
-           two 12-cycles at --max-vertices 24, and pairs the degree screen
-           refutes before the bound; dirmax assoc of (h, g, g), whose
-           witness comes from the right side.  Each line holds the argv, the
-           exit code, stdout and stderr.
+           labels, CRLF and lone-CR line ends) and on malformed ones giving
+           each parse error; paths opened as given (`fmt ''`, `fmt g.hg/`,
+           `product -o out.hg/`); fuzz at --jobs 1 and 2, once with
+           factors stepped past infeasible draws; argument errors, a file
+           short, and every command's --help.  Among them: `product -o` of
+           a 4-member edge by a 7-member edge and a singleton, strong and
+           dirmax (over 8,000 edges each), then `fmt` of the file; iso of
+           a 24-cycle against two 12-cycles at --max-vertices 24, and pairs
+           the degree screen refutes before the bound; dirmax assoc of
+           (h, g, g), whose witness comes from the right side.  Each line
+           holds the argv, the exit code, stdout and stderr.
 
 The script builds its inputs with its own generators.  --quick prints a
 slice of every section in a few seconds, with every cli case but some fuzz
@@ -261,6 +262,8 @@ _VALID = {
     "two12.hg": _graph_text(_W, _cycle(_W[:12]) + _cycle(_W[12:])),
     "moved24.hg": _graph_text(_W, _cycle(_W)[:-1] + [["w24", "w12"]]),
     "empty.hg": "vertices:\n",
+    "crlf.hg": "vertices: a b c\r\nedge: a b\r\n\r\nedge: c\r\n",
+    "cr.hg": "vertices: a b c\redge: a b\r\redge: c\r",
 }
 
 _MALFORMED = {
@@ -280,6 +283,7 @@ _MALFORMED = {
     "trailing.hg": "vertices: (a,b)c\n",
     "deep.hg": "vertices: " + "(" * 201 + "a" + ",b)" * 201 + "\n",
     "long_token.hg": "vertices: a\nedge: a " + "t" * 60 + "\n",
+    "cr_unknown.hg": "vertices: a\r\redge: a q\r",
 }
 
 
@@ -314,7 +318,8 @@ def _cli_runs(seed: int, quick: bool):
         yield ["product", "--kind", kind, a, b, "-o", "out.hg"]
         yield ["fmt", "out.hg"]
     yield ["product", "--kind", "dirmax", "g.hg", "h.hg", "-o", "missing/out.hg"]
-    for name in _VALID:
+    yield ["product", "--kind", "dirmax", "g.hg", "h.hg", "-o", "out.hg/"]
+    for name in [*_VALID, "", "g.hg/"]:  # a path is opened as given
         yield ["fmt", name]
     for a, b in [("c6.hg", "c6copy.hg"), ("c6.hg", "two3.hg"), ("messy.hg", "messy.hg"),
                  ("nested.hg", "nested.hg"), ("g.hg", "h.hg"), ("empty.hg", "empty.hg"),

@@ -17,7 +17,6 @@ import io
 import json
 import os
 import sys
-from pathlib import Path
 
 from .checker import (
     GeneratorConfig,
@@ -55,9 +54,13 @@ class InputError(Exception):
 
 def _read(path: str, parse):
     """`parse` applied to the text of a .hg file; file and parse errors
-    become InputError."""
+    become InputError.  The path is opened exactly as given and its bytes
+    are decoded once: for a small file, pathlib and the text layer cost more
+    than the parse.  The parse itself ends a line at LF, CRLF or a lone CR,
+    as the text layer's newline translation did."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, "rb") as f:
+            text = f.read().decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from exc
     try:
@@ -75,19 +78,19 @@ def _write(text: str, out: str | None) -> None:
         _stdout(text)
         return
     try:
-        Path(out).write_text(text, encoding="utf-8")
+        with open(out, "w", encoding="utf-8") as f:
+            f.write(text)
     except OSError as exc:
         raise InputError(f"{out}: {exc.strerror or exc}") from exc
 
 
-def _stdout(text: str) -> None:
-    """Write text to stdout and flush it, so that an OSError (a full disk, a
-    reader that closed the pipe) becomes InputError here, not a traceback or
-    the interpreter's exit status 120.  What the failed write left in the
-    buffer would fail again in the interpreter's exit flush, so stdout's
-    file descriptor is first pointed at os.devnull (as the SIGPIPE note in
-    the documentation of the signal module does)."""
-    stream = sys.stdout
+def _put(stream, text: str) -> None:
+    """Write text to stream and flush it.  On an OSError (a full disk, a
+    reader that closed the pipe) the stream's file descriptor is pointed at
+    os.devnull before the error is raised: what the failed write left in the
+    buffer would fail again in the interpreter's exit flush and make the
+    exit status 120 (as the SIGPIPE note in the documentation of the signal
+    module says)."""
     try:
         raw = getattr(stream, "buffer", None)
         if isinstance(raw, io.RawIOBase):
@@ -100,13 +103,36 @@ def _stdout(text: str) -> None:
         else:
             stream.write(text)
         stream.flush()
-    except OSError as exc:
+    except OSError:
         with contextlib.suppress(OSError, ValueError):  # no descriptor: nothing to flush at exit
             fd = stream.fileno()
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, fd)
             os.close(devnull)
+        raise
+
+
+def _stdout(text: str) -> None:
+    """Write text to stdout; an OSError becomes InputError, not a traceback."""
+    try:
+        _put(sys.stdout, text)
+    except OSError as exc:
         raise InputError(f"stdout: {exc.strerror or exc}") from exc
+
+
+def _stderr(text: str) -> None:
+    """Write text to stderr; a diagnostic that cannot be written is dropped,
+    so the exit code still says what happened."""
+    with contextlib.suppress(OSError):
+        _put(sys.stderr, text)
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse's help and usage messages go through _stdout and _stderr."""
+
+    def _print_message(self, message, file=None):
+        if message:
+            (_stdout if file is sys.stdout else _stderr)(message)
 
 
 @contextlib.contextmanager
@@ -199,10 +225,7 @@ def _cmd_assoc(args) -> int:
     a, b, c = (_read(path, parse_hg) for path in args.factors)
     report = check_associativity(ProductKind(args.kind), a, b, c, full_iso=args.full_iso)
     if args.full_iso and report.exists_isomorphism is None:
-        print(
-            "note: full isomorphism search skipped (vertex bound exceeded)",
-            file=sys.stderr,
-        )
+        _stderr("note: full isomorphism search skipped (vertex bound exceeded)\n")
     return _print_report(report, args.json)
 
 
@@ -275,7 +298,7 @@ def _cmd_fmt(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and shared by later calls
     (parsing does not change it)."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hgprod",
         description="Hypergraph products, exact counts, isomorphism and law audits.",
     )
@@ -345,12 +368,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)  # --help can fail to write
         return args.func(args)
     except (InputError, IsoBoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _stderr(f"error: {exc}\n")
         return EXIT_USAGE
 
 

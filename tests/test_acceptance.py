@@ -132,10 +132,14 @@ ASSOCIATIVE = (ProductKind.CARTESIAN, ProductKind.DIRMIN, ProductKind.NORMAL)
 
 
 def _regrouped(edges, cache):
-    out = set()
-    for e in edges:
-        out.add(frozenset(cache.setdefault(v, regroup_right_to_left(v)) for v in e))
-    return out
+    """The edges with each member regrouped; a member is looked up before it
+    is regrouped, so each distinct one is regrouped once."""
+    def regrouped(v):
+        if v not in cache:
+            cache[v] = regroup_right_to_left(v)
+        return cache[v]
+
+    return {frozenset(map(regrouped, e)) for e in edges}
 
 
 def test_c4_associativity_sweep():

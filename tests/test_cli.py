@@ -1,5 +1,6 @@
 import concurrent.futures
 import contextlib
+import errno
 import io
 import json
 import math
@@ -582,6 +583,36 @@ def test_a_full_stdout_exits_2_with_one_error_line(unbuffered):
     assert (done.returncode, done.stderr) == (2, "error: stdout: No space left on device\n")
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full here")
+@pytest.mark.parametrize("unbuffered", [True, False])
+@pytest.mark.parametrize("argv, full", [
+    pytest.param(["fmt", "/nonexistent/g.hg"], "stderr", id="input-error"),
+    pytest.param(["fuzz"], "stderr", id="usage-error"),  # argparse reports it
+    pytest.param(["--help"], "stdout", id="help"),  # argparse prints it
+    pytest.param(["fmt", "--help"], "stdout", id="fmt-help"),
+])
+def test_an_unwritable_stream_keeps_exit_2(argv, full, unbuffered):
+    """A diagnostic that cannot be written is dropped, and help that cannot
+    be written is an error; the exit is 2 either way, never a traceback's 1,
+    the interpreter's 120 or argparse's 0."""
+    with open("/dev/full", "w") as sink:
+        streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, full: sink}
+        done = subprocess.run([sys.executable, "-m", "hgprod", *argv], **streams,
+                              env=_hgprod_env(unbuffered), text=True)
+    shown = done.stdout if full == "stderr" else done.stderr
+    expected = "" if full == "stderr" else "error: stdout: No space left on device\n"
+    assert (done.returncode, shown) == (2, expected)
+
+
+def test_importing_the_cli_loads_no_pathlib():
+    """The CLI opens its paths as given; pathlib would cost every cold start
+    a few milliseconds.  -S keeps site's own imports out."""
+    check = "import sys, hgprod.cli; print('pathlib' in sys.modules)"
+    done = subprocess.run([sys.executable, "-S", "-c", check], env=_hgprod_env(False),
+                          capture_output=True, text=True)
+    assert (done.returncode, done.stdout) == (0, "False\n")
+
+
 # About 210 KB of JSON, far more than a pipe holds, in well under a second.
 CLOSED_PIPE_ARGS = [
     "fuzz", "--kind", "dirmax", "--law", "assoc", "--seed", "1", "--trials", "1000",
@@ -1066,6 +1097,18 @@ def test_fmt_is_idempotent(run, files):
     assert once == twice
 
 
+@pytest.mark.parametrize("ends", ["\r\n", "\r"])
+def test_fmt_reads_crlf_and_lone_cr_line_ends_as_newlines(run, tmp_path, ends):
+    text = "# comment\nvertices: b a c\n\nedge: b a\nedge: c\n"
+    plain, other = tmp_path / "plain.hg", tmp_path / "other.hg"
+    plain.write_bytes(text.encode())
+    other.write_bytes(text.replace("\n", ends).encode())
+    assert run("fmt", str(other)) == run("fmt", str(plain)) == (0, "vertices: a b c\nedge: c\nedge: a b\n", "")
+    other.write_bytes(text.replace("edge: c", "edge: q").replace("\n", ends).encode())
+    code, out, err = run("fmt", str(other))
+    assert (code, out) == (2, "") and "line 5" in err and "unknown vertex" in err
+
+
 def test_parse_errors_exit_2_with_line_number(run, files):
     bad = files("bad.hg", "vertices: a b\nedge: a q\n")
     code, out, err = run("fmt", bad)
@@ -1275,11 +1318,30 @@ def test_missing_file_exits_2(run, tmp_path):
     assert "absent.hg" in err
 
 
-@pytest.mark.parametrize("command", ["iso", "fmt"])
+def test_a_path_is_opened_exactly_as_given(run, gh, tmp_path):
+    """No path is normalised first: '' names no file, and a name with a
+    trailing slash names a directory, so a regular file under it is not
+    read (as cat does) and no file is written."""
+    g, h = gh
+    assert run("fmt", "") == (2, "", f"error: : {os.strerror(errno.ENOENT)}\n")
+    assert run("fmt", g + "/") == (2, "", f"error: {g}/: {os.strerror(errno.ENOTDIR)}\n")
+    out = tmp_path / "out.hg"
+    code, stdout, err = run("product", "--kind", "cartesian", g, h, "-o", f"{out}/")
+    assert (code, stdout) == (2, "")
+    assert err.startswith(f"error: {out}/: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["iso", "fmt", "product", "count"])
 def test_non_utf8_file_exits_2_with_one_error_line(run, tmp_path, gh, command):
     bad = tmp_path / "latin1.hg"
     bad.write_bytes("vertices: \xe9\n".encode("latin-1"))
-    argv = [command, str(bad), gh[0]] if command == "iso" else [command, str(bad)]
+    argv = {
+        "iso": ["iso", str(bad), gh[0]],
+        "fmt": ["fmt", str(bad)],
+        "product": ["product", "--kind", "dirmax", gh[0], str(bad)],
+        "count": ["count", "--kind", "dirmax", str(bad), gh[0]],
+    }[command]
     code, out, err = run(*argv)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
